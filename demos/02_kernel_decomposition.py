@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Low-rank kernel decomposition via the small-matrix Jacobi SVD.
+"""Low-rank kernel decomposition via the thin small-matrix SVD.
 
 Decomposes 2-way and 3-way kernels, checks the truncation residual
 against the singular-value tail, and shows the per-slice structure of the

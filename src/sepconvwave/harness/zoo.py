@@ -13,6 +13,8 @@ carries an independent copy of the whole stack.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..nn import BatchNorm, Conv, Dense, Model, Reshape, SeparableConv, Tanh, Upsample
@@ -92,20 +94,34 @@ def _chain_back(target: int, kernels, ups) -> list[int]:
     return list(reversed(sizes))
 
 
-def _conv_layer(kind: str, c_in: int, n_f: int, extents, rng):
-    """Full or separable convolution per variant family."""
-    if kind == "full":
-        return Conv(c_in, n_f, extents, rng)
-    if kind == "sep":  # fully 1D stages, last axis first
-        return SeparableConv(c_in, n_f, extents, rng)
-    if kind == "sep_grouped":  # 2D trailing-axes stage then 1D leading stage
-        nd = len(extents)
-        groups = (tuple(range(1, nd)), (0,))
-        return SeparableConv(c_in, n_f, extents, rng, groups=groups)
-    raise ValueError(f"unknown conv kind {kind}")
+def _time_channels(spec, grid, spatial):
+    """Output channels and per-sample output shape: every time step, or one slice for (p, t)."""
+    return (1, spatial) if spec.time_conditioned else (grid.nt, (grid.nt, *spatial))
 
 
-def _stack_3d(spec, grid, w, rng, conv_kind):
+def _lift_and_two_blocks(spec, rng, conv, c0, latent, n_f, extents):
+    """Dense lift onto ``(c0, *latent)``, then two x2 upsample/conv blocks."""
+    def norm(n):
+        return [BatchNorm(n)] if spec.batch_norm else []
+
+    ups = (1,) + (2,) * len(latent)
+    return [
+        Dense(spec.input_dim, c0 * int(np.prod(latent)), rng),
+        Reshape((c0, *latent)),
+        *norm(c0),
+        Tanh(),
+        Upsample(ups),
+        conv(c0, n_f, extents, rng),
+        *norm(n_f),
+        Tanh(),
+        Upsample(ups),
+        conv(n_f, n_f, extents, rng),
+        *norm(n_f),
+        Tanh(),
+    ]
+
+
+def _stack_3d(spec, grid, w, rng, conv):
     """(t, x, y) conv stack emitting the full zoom field.
 
     Two wide blocks run at reduced time resolution; a mid upsample grows
@@ -122,73 +138,35 @@ def _stack_3d(spec, grid, w, rng, conv_kind):
         Dense(spec.input_dim, t0 * x0 * y0, rng),
         Reshape((1, t0, x0, y0)),
         Upsample((1, 2, 2, 2)),
-        _conv_layer(conv_kind, 1, n_f, (kt, ks, ks), rng),
+        conv(1, n_f, (kt, ks, ks), rng),
         *(([BatchNorm(n_f)] if spec.batch_norm else [])),
         Tanh(),
         Upsample((1, 2, 2, 2)),
-        _conv_layer(conv_kind, n_f, n_f, (kt, ks, ks), rng),
+        conv(n_f, n_f, (kt, ks, ks), rng),
         *(([BatchNorm(n_f)] if spec.batch_norm else [])),
         Tanh(),
     ]
     final = [
         Upsample((1, mid3_t, 1, 1)),
-        _conv_layer(conv_kind, n_f, 1, (kt3, ks3, ks3), rng),
+        conv(n_f, 1, (kt3, ks3, ks3), rng),
         Upsample((1, up_t, up_s, up_s)),
         Reshape((grid.nt, grid.zoom_nx, grid.zoom_ny)),
     ]
     return prefix, final
 
 
-def _stack_2d_field(spec, grid, w, rng):
-    """2D spatial stack with the time axis as output channels."""
-    c0, n_f, k, up = w["conv2d.c0"], w["conv2d.nf"], w["conv2d.k"], w["conv2d.up"]
+def _stack_2d(spec, grid, w, rng):
+    """2D spatial stack: the time axis as output channels, or one slice for (p, t)."""
+    key = "conv2dt" if spec.time_conditioned else "conv2d"
+    c0, n_f, k, up = w[f"{key}.c0"], w[f"{key}.nf"], w[f"{key}.k"], w[f"{key}.up"]
     x0 = _chain_back(grid.zoom_nx, (k, k, k), (2, 2, 1, up))[0]
     y0 = _chain_back(grid.zoom_ny, (k, k, k), (2, 2, 1, up))[0]
-    prefix = [
-        Dense(spec.input_dim, c0 * x0 * y0, rng),
-        Reshape((c0, x0, y0)),
-        *(([BatchNorm(c0)] if spec.batch_norm else [])),
-        Tanh(),
-        Upsample((1, 2, 2)),
-        Conv(c0, n_f, (k, k), rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
-        Tanh(),
-        Upsample((1, 2, 2)),
-        Conv(n_f, n_f, (k, k), rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
-        Tanh(),
-    ]
+    prefix = _lift_and_two_blocks(spec, rng, Conv, c0, (x0, y0), n_f, (k, k))
+    out_channels, out_shape = _time_channels(spec, grid, (grid.zoom_nx, grid.zoom_ny))
     final = [
-        Conv(n_f, grid.nt, (k, k), rng),
+        Conv(n_f, out_channels, (k, k), rng),
         Upsample((1, up, up)),
-        Reshape((grid.nt, grid.zoom_nx, grid.zoom_ny)),
-    ]
-    return prefix, final
-
-
-def _stack_2d_slice(spec, grid, w, rng):
-    """(p, t) to one zoom slice; 2D convs with one output channel."""
-    c0, n_f, k, up = w["conv2dt.c0"], w["conv2dt.nf"], w["conv2dt.k"], w["conv2dt.up"]
-    x0 = _chain_back(grid.zoom_nx, (k, k, k), (2, 2, 1, up))[0]
-    y0 = _chain_back(grid.zoom_ny, (k, k, k), (2, 2, 1, up))[0]
-    prefix = [
-        Dense(spec.input_dim, c0 * x0 * y0, rng),
-        Reshape((c0, x0, y0)),
-        *(([BatchNorm(c0)] if spec.batch_norm else [])),
-        Tanh(),
-        Upsample((1, 2, 2)),
-        Conv(c0, n_f, (k, k), rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
-        Tanh(),
-        Upsample((1, 2, 2)),
-        Conv(n_f, n_f, (k, k), rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
-        Tanh(),
-    ]
-    final = [
-        Conv(n_f, 1, (k, k), rng),
-        Upsample((1, up, up)),
-        Reshape((grid.zoom_nx, grid.zoom_ny)),
+        Reshape(out_shape),
     ]
     return prefix, final
 
@@ -218,52 +196,21 @@ def _stack_1d_traces(spec, grid, w, rng):
     """Ring-axis 1D convs; time as output channels (or one slice)."""
     c0, n_f, k = w["conv1db.c0"], w["conv1db.nf"], w["conv1db.k"]
     s0 = _chain_back(grid.n_boundary, (k, k, k), (2, 2, 1, 1))[0]
-    prefix = [
-        Dense(spec.input_dim, c0 * s0, rng),
-        Reshape((c0, s0)),
-        *(([BatchNorm(c0)] if spec.batch_norm else [])),
-        Tanh(),
-        Upsample((1, 2)),
-        Conv(c0, n_f, (k,), rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
-        Tanh(),
-        Upsample((1, 2)),
-        Conv(n_f, n_f, (k,), rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
-        Tanh(),
-    ]
-    out_channels = 1 if spec.time_conditioned else grid.nt
-    final = [Conv(n_f, out_channels, (k,), rng)]
-    if spec.time_conditioned:
-        final.append(Reshape((grid.n_boundary,)))
-    else:
-        final.append(Reshape((grid.nt, grid.n_boundary)))
-    return prefix, final
+    prefix = _lift_and_two_blocks(spec, rng, Conv, c0, (s0,), n_f, (k,))
+    out_channels, out_shape = _time_channels(spec, grid, (grid.n_boundary,))
+    return prefix, [Conv(n_f, out_channels, (k,), rng), Reshape(out_shape)]
 
 
-def _stack_2d_traces(spec, grid, w, rng, conv_kind):
+def _stack_2d_traces(spec, grid, w, rng, conv):
     """(t, ring) 2D conv stack emitting full traces."""
     c0, n_f = w["conv2db.c0"], w["conv2db.nf"]
     kt, ks, up_t = w["conv2db.kt"], w["conv2db.ks"], w["conv2db.up_t"]
     t0 = _chain_back(grid.nt, (kt, kt, kt), (2, 2, 1, up_t))[0]
     s0 = _chain_back(grid.n_boundary, (ks, ks, ks), (2, 2, 1, 1))[0]
     ext = (kt, ks)
-    prefix = [
-        Dense(spec.input_dim, c0 * t0 * s0, rng),
-        Reshape((c0, t0, s0)),
-        *(([BatchNorm(c0)] if spec.batch_norm else [])),
-        Tanh(),
-        Upsample((1, 2, 2)),
-        _conv_layer(conv_kind, c0, n_f, ext, rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
-        Tanh(),
-        Upsample((1, 2, 2)),
-        _conv_layer(conv_kind, n_f, n_f, ext, rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
-        Tanh(),
-    ]
+    prefix = _lift_and_two_blocks(spec, rng, conv, c0, (t0, s0), n_f, ext)
     final = [
-        _conv_layer(conv_kind, n_f, 1, ext, rng),
+        conv(n_f, 1, ext, rng),
         Upsample((1, up_t, 1)),
         Reshape((grid.nt, grid.n_boundary)),
     ]
@@ -271,17 +218,19 @@ def _stack_2d_traces(spec, grid, w, rng, conv_kind):
 
 
 _BUILDERS = {
-    "FC_t": lambda s, g, w, r: _stack_fc(s, g, w, r),
-    "FC_t_Boundary": lambda s, g, w, r: _stack_fc(s, g, w, r),
-    "Conv2D": lambda s, g, w, r: _stack_2d_field(s, g, w, r),
-    "Conv2D_t": lambda s, g, w, r: _stack_2d_slice(s, g, w, r),
-    "Conv3D": lambda s, g, w, r: _stack_3d(s, g, w, r, "full"),
-    "Conv2.5D": lambda s, g, w, r: _stack_3d(s, g, w, r, "sep_grouped"),
-    "Conv2.5Db": lambda s, g, w, r: _stack_3d(s, g, w, r, "sep"),
-    "Conv1D_Boundary": lambda s, g, w, r: _stack_1d_traces(s, g, w, r),
-    "Conv1D_t_Boundary": lambda s, g, w, r: _stack_1d_traces(s, g, w, r),
-    "Conv2D_Boundary": lambda s, g, w, r: _stack_2d_traces(s, g, w, r, "full"),
-    "Conv1.5D_Boundary": lambda s, g, w, r: _stack_2d_traces(s, g, w, r, "sep"),
+    "FC_t": _stack_fc,
+    "FC_t_Boundary": _stack_fc,
+    "Conv2D": _stack_2d,
+    "Conv2D_t": _stack_2d,
+    "Conv3D": partial(_stack_3d, conv=Conv),
+    # 2D spatial stage, then 1D temporal stage
+    "Conv2.5D": partial(_stack_3d, conv=partial(SeparableConv, groups=((1, 2), (0,)))),
+    # 1D stages only, last axis first
+    "Conv2.5Db": partial(_stack_3d, conv=SeparableConv),
+    "Conv1D_Boundary": _stack_1d_traces,
+    "Conv1D_t_Boundary": _stack_1d_traces,
+    "Conv2D_Boundary": partial(_stack_2d_traces, conv=Conv),
+    "Conv1.5D_Boundary": partial(_stack_2d_traces, conv=SeparableConv),
 }
 
 

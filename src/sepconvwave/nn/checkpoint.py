@@ -8,15 +8,18 @@ Layout (everything little-endian):
   name length u32, name bytes (UTF-8), rank u64, extents rank x u64,
   data as float64
 
-Round trips are bit-exact: the float64 payload is written raw.
+Round trips are bit-exact: the float64 payload is written raw.  Headers
+and tensors use the record codec of :mod:`sepconvwave.records`, shared
+with the dataset files.
 """
 
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
+
+from ..records import RecordReader, write_array, write_header
 
 __all__ = ["MAGIC", "VERSION", "save_tensors", "load_tensors", "save_model", "load_model"]
 
@@ -24,53 +27,25 @@ MAGIC = b"SCNN"
 VERSION = 1
 
 
-def write_tensor(fh, name: str, array: np.ndarray) -> None:
-    data = np.asarray(array, dtype="<f8")
-    if data.ndim and not data.flags.c_contiguous:
-        data = np.ascontiguousarray(data)
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<Q", data.ndim))
-    fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-    fh.write(data.tobytes())
-
-
-def read_tensor(fh):
-    head = fh.read(4)
-    if not head:
-        return None
-    (name_len,) = struct.unpack("<I", head)
-    name = fh.read(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<Q", fh.read(8))
-    shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-    return name, data.astype(np.float64)
-
-
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
+        write_header(fh, MAGIC, VERSION)
         for name, array in tensors.items():
-            write_tensor(fh, name, array)
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            write_array(fh, array)
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        tensors = {}
-        while True:
-            record = read_tensor(fh)
-            if record is None:
-                return tensors
-            tensors[record[0]] = record[1]
+    tensors = {}
+    with RecordReader(path) as reader:
+        reader.header(MAGIC, VERSION, "checkpoint")
+        while not reader.at_end():
+            (name_len,) = reader.unpack("<I", "name length")
+            name = reader.take(name_len, "name").decode("utf-8")
+            tensors[name] = reader.array(name)
+    return tensors
 
 
 def save_model(path, model) -> None:

@@ -6,7 +6,16 @@ the reference operations in :mod:`sepconvwave.tensor_core`: one kernel
 per output channel, applied to the sum over input channels, stride 1, no
 padding.  The separable layer replaces each d-way kernel with a sequence
 of small per-stage kernels (one per axis group) connected by axis moves,
-so a filter costs the sum of its extents instead of their product.
+so a filter costs the sum of its extents instead of their product; the
+full convolution ``Conv`` is its one-stage case, a single group holding
+every axis.
+
+All stages run on one engine: a single ``einsum`` contraction over a
+read-only sliding-window view of the stage input gives the forward pass
+and, with the output gradient in the kernel's place, the kernel
+gradient.  Its adjoint gives the input gradient: a scatter-add of taps
+(col2im) at stage 0, and at a depthwise stage the same contraction over
+the zero-padded gradient with the tap-reversed kernel.
 """
 
 from __future__ import annotations
@@ -80,7 +89,8 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-# batch-chunked im2col: window copies stay below this many float64s
+# batch-chunked windows: every materialised window copy stays below this
+# many float64s
 _CHUNK_BUDGET = 8_000_000
 
 
@@ -90,89 +100,68 @@ def _batch_chunks(n_batch: int, per_sample_elements: int):
         yield start, min(start + step, n_batch)
 
 
-def _conv_trailing(z: np.ndarray, kernel: np.ndarray, filters_in_z: bool) -> np.ndarray:
-    """Valid correlation over the trailing axes, one kernel per filter.
+def _subscripts(ndim: int, g: int, depthwise: bool) -> tuple[str, str, str]:
+    """einsum subscripts ``(windows, kernel, output)`` of a valid correlation.
 
-    ``kernel`` is ``[n_f, *taps]``.  With ``filters_in_z`` the filter
-    axis of ``z`` is axis 1 and each filter convolves its own slice (a
-    short tap loop, kernels are small); otherwise one kernel per output
-    filter runs over the shared input as a batched im2col matrix product.
+    The correlation runs over the trailing ``g`` axes of an ``ndim``-axis
+    input.  The filter axis ``f`` is the input's axis 1 when ``depthwise``
+    (each filter convolves its own slice) and comes from the kernel
+    otherwise (every filter reads the shared input).
+    """
+    rest = "ghi"[: ndim - g - (2 if depthwise else 1)]
+    out, taps = "lmn"[:g], "pqr"[:g]
+    return ("bf" if depthwise else "b") + rest + out + taps, "f" + taps, "bf" + rest + out
+
+
+def _correlate(z: np.ndarray, taps, depthwise: bool, operand: np.ndarray,
+               kernel_grad: bool = False) -> np.ndarray:
+    """The engine's windowed contraction over the trailing axes of ``z``.
+
+    Forward: ``operand`` is the kernel ``[n_f, *taps]`` and the result is
+    the valid correlation ``[batch, n_f, *rest, *out]``.  With
+    ``kernel_grad`` the operand is that result's gradient and the result is
+    the kernel gradient: the same contraction, output and kernel swapped.
+    Stage 0 contracts over the taps as a matrix product on a window copy;
+    a depthwise contraction keeps its filter axis and reads the strided
+    windows in place, where einsum's own loop beats the optimizer's path.
+    """
+    win, ker, out = _subscripts(z.ndim, len(taps), depthwise)
+    spec = f"{win},{out}->{ker}" if kernel_grad else f"{win},{ker}->{out}"
+    windows = sliding_window_view(z, taps, axis=tuple(range(z.ndim - len(taps), z.ndim)))
+    parts = [
+        np.einsum(spec, windows[a:b], operand[a:b] if kernel_grad else operand,
+                  optimize=not depthwise)
+        for a, b in _batch_chunks(len(z), windows[0].size)
+    ]
+    return sum(parts) if kernel_grad else np.concatenate(parts)
+
+
+def _correlate_input_grad(grad: np.ndarray, kernel: np.ndarray, depthwise: bool) -> np.ndarray:
+    """Adjoint of :func:`_correlate` in its input.
+
+    Stage 0 scatters taps back (col2im): the contraction with the kernel
+    spreads every output-gradient entry over the taps of its window, laid
+    out taps first, so folding them onto the input adds one contiguous
+    slab per tap.  A depthwise stage keeps its filter axis, so its adjoint
+    is the forward contraction of the zero-padded gradient with the
+    tap-reversed kernel.
     """
     taps = kernel.shape[1:]
     g = len(taps)
-    out_sp = tuple(z.shape[z.ndim - g + i] - taps[i] + 1 for i in range(g))
-    if any(n < 1 for n in out_sp):
-        raise ValueError(f"kernel taps {taps} do not fit {z.shape[-g:]}")
-    n_f = kernel.shape[0]
-    if filters_in_z:
-        out = np.zeros(z.shape[:-g] + out_sp)
-        coef_shape = (1, n_f) + (1,) * (out.ndim - 2)
-        for tap in np.ndindex(*taps):
-            window = (Ellipsis,) + tuple(slice(t, t + n) for t, n in zip(tap, out_sp))
-            out += kernel[(slice(None),) + tap].reshape(coef_shape) * z[window]
-        return out
-    flat_kernel = kernel.reshape(n_f, -1)
-    out = np.empty((z.shape[0], n_f) + z.shape[1:-g] + out_sp)
-    per_sample = int(np.prod(z.shape[1:-g] + out_sp)) * flat_kernel.shape[1]
-    for a, b in _batch_chunks(z.shape[0], per_sample):
-        win = sliding_window_view(z[a:b], taps, axis=tuple(range(z.ndim - g, z.ndim)))
-        cols = np.ascontiguousarray(win).reshape(-1, flat_kernel.shape[1])
-        block = cols @ flat_kernel.T  # [rows, n_f]
-        block = block.reshape((b - a,) + z.shape[1:-g] + out_sp + (n_f,))
-        out[a:b] = np.moveaxis(block, -1, 1)
-    return out
-
-
-def _conv_trailing_input_grad(grad: np.ndarray, kernel: np.ndarray, sum_filters: bool) -> np.ndarray:
-    """Gradient of :func:`_conv_trailing` with respect to its input.
-
-    Full correlation of the zero-padded output gradient with the
-    tap-reversed kernel; with ``sum_filters`` the filter axis (axis 1 of
-    ``grad``) is contracted away (that stage broadcast its input over
-    filters).
-    """
-    taps = kernel.shape[1:]
-    g = len(taps)
-    n_f = kernel.shape[0]
+    if depthwise:
+        padded = np.pad(grad, [(0, 0)] * (grad.ndim - g) + [(k - 1, k - 1) for k in taps])
+        return _correlate(padded, taps, True, kernel[(slice(None),) + (slice(None, None, -1),) * g])
+    win, ker, out = _subscripts(grad.ndim - 1, g, False)
+    spec = f"{out},{ker}->{ker[1:]}{win[:-g]}"
     out_sp = grad.shape[-g:]
-    in_sp = tuple(w + k - 1 for w, k in zip(out_sp, taps))
-    if sum_filters:
-        gin = np.zeros((grad.shape[0],) + grad.shape[2:-g] + in_sp)
-        gm = np.ascontiguousarray(np.moveaxis(grad, 1, -1))  # filters last for matmul
+    lead = grad.shape[:1] + grad.shape[2:-g]
+    gin = np.zeros(lead + tuple(n + k - 1 for n, k in zip(out_sp, taps)))
+    for a, b in _batch_chunks(len(grad), kernel[0].size * int(np.prod(lead[1:] + out_sp))):
+        cols = np.einsum(spec, grad[a:b], kernel, optimize=True)
         for tap in np.ndindex(*taps):
-            window = (Ellipsis,) + tuple(slice(t, t + n) for t, n in zip(tap, out_sp))
-            gin[window] += gm @ kernel[(slice(None),) + tap]
-        return gin
-    gin = np.zeros(grad.shape[:-g] + in_sp)
-    coef_shape = (1, n_f) + (1,) * (grad.ndim - 2)
-    for tap in np.ndindex(*taps):
-        window = (Ellipsis,) + tuple(slice(t, t + n) for t, n in zip(tap, out_sp))
-        gin[window] += kernel[(slice(None),) + tap].reshape(coef_shape) * grad
+            window = tuple(slice(t, t + n) for t, n in zip(tap, out_sp))
+            gin[(slice(a, b), Ellipsis) + window] += cols[tap]
     return gin
-
-
-def _conv_trailing_kernel_grad(z: np.ndarray, grad: np.ndarray, taps, filters_in_z: bool) -> np.ndarray:
-    """Gradient of :func:`_conv_trailing` with respect to the kernel."""
-    taps = tuple(taps)
-    g = len(taps)
-    out_sp = grad.shape[-g:]
-    if filters_in_z:
-        gk = np.empty((grad.shape[1],) + taps)
-        sum_axes = tuple(a for a in range(grad.ndim) if a != 1)
-        for tap in np.ndindex(*taps):
-            window = (Ellipsis,) + tuple(slice(t, t + n) for t, n in zip(tap, out_sp))
-            gk[(slice(None),) + tap] = np.sum(z[window] * grad, axis=sum_axes)
-        return gk
-    n_f = grad.shape[1]
-    n_taps = int(np.prod(taps))
-    acc = np.zeros((n_f, n_taps))
-    per_sample = int(np.prod(z.shape[1:-g] + out_sp)) * n_taps
-    for a, b in _batch_chunks(z.shape[0], per_sample):
-        win = sliding_window_view(z[a:b], taps, axis=tuple(range(z.ndim - g, z.ndim)))
-        cols = np.ascontiguousarray(win).reshape(-1, n_taps)
-        gmat = np.moveaxis(grad[a:b], 1, -1).reshape(-1, n_f)
-        acc += gmat.T @ cols
-    return acc.reshape((n_f,) + taps)
 
 
 class Dense(Layer):
@@ -207,62 +196,6 @@ class Dense(Layer):
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-class Conv(Layer):
-    """Full N-dimensional convolution layer (N = 1, 2 or 3).
-
-    Input ``[batch, c_in, *spatial]``, output ``[batch, n_f, *spatial -
-    extents + 1]``.  Kernel tensor is ``[n_f, *extents]``; the tap loop
-    runs over kernel entries, which stay small by construction.
-    """
-
-    kind = "conv"
-
-    def __init__(self, c_in: int, n_f: int, extents, rng: np.random.Generator):
-        self.c_in = c_in
-        self.n_f = n_f
-        self.extents = tuple(int(e) for e in extents)
-        if any(e < 1 for e in self.extents):
-            raise ValueError(f"kernel extents must be >= 1, got {self.extents}")
-        fan_in = c_in * int(np.prod(self.extents))
-        self.kernel = Parameter(_uniform_init(rng, (n_f,) + self.extents, fan_in))
-        self.bias = Parameter(_uniform_init(rng, (n_f,), fan_in))
-        self._xsum = None
-
-    def _out_spatial(self, spatial):
-        out = tuple(n - k + 1 for n, k in zip(spatial, self.extents))
-        if len(spatial) != len(self.extents) or any(n < 1 for n in out):
-            raise ValueError(f"kernel {self.extents} does not fit spatial shape {spatial}")
-        return out
-
-    def forward(self, x, training=False):
-        if x.ndim != 2 + len(self.extents) or x.shape[1] != self.c_in:
-            raise ValueError(
-                f"conv expects [batch, {self.c_in}, *spatial({len(self.extents)})], got {x.shape}"
-            )
-        out_sp = self._out_spatial(x.shape[2:])
-        xsum = x.sum(axis=1)
-        self._xsum = xsum
-        out = _conv_trailing(xsum, self.kernel.value, filters_in_z=False)
-        return out + self.bias.value.reshape((1, self.n_f) + (1,) * len(out_sp))
-
-    def backward(self, grad):
-        nd = len(self.extents)
-        self.bias.grad += grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
-        self.kernel.grad += _conv_trailing_kernel_grad(
-            self._xsum, grad, self.extents, filters_in_z=False
-        )
-        gxsum = _conv_trailing_input_grad(grad, self.kernel.value, sum_filters=True)
-        return np.repeat(gxsum[:, None], self.c_in, axis=1)
-
-    def output_shape(self, in_shape):
-        if len(in_shape) != 1 + len(self.extents) or in_shape[0] != self.c_in:
-            raise ValueError(f"conv expects ({self.c_in}, *spatial), got {in_shape}")
-        return (self.n_f,) + self._out_spatial(in_shape[1:])
-
-    def parameters(self):
-        return [("kernel", self.kernel), ("bias", self.bias)]
-
-
 class SeparableConv(Layer):
     """A-priori decomposed convolution: one small kernel per axis group.
 
@@ -274,6 +207,10 @@ class SeparableConv(Layer):
     uses ``groups=((1, 2), (0,))``: a 2D spatial stage then a 1D temporal
     stage.  The layer stores ``n_f * sum(group sizes)`` kernel weights
     plus ``n_f`` biases, never the full product.
+
+    Stage 0 runs every filter over the channel-summed input; each later
+    stage is depthwise, each filter convolving its own slice.  Both are
+    the same windowed contraction.
 
     With ``stage_activation=True`` a tanh is inserted between stages,
     making the decomposition nonlinear; the default keeps stages linear
@@ -295,6 +232,8 @@ class SeparableConv(Layer):
         self.c_in = c_in
         self.n_f = n_f
         self.extents = tuple(int(e) for e in extents)
+        if any(e < 1 for e in self.extents):
+            raise ValueError(f"kernel extents must be >= 1, got {self.extents}")
         nd = len(self.extents)
         if groups is None:
             groups = tuple((a,) for a in reversed(range(nd)))
@@ -303,13 +242,16 @@ class SeparableConv(Layer):
         if covered != list(range(nd)):
             raise ValueError(f"groups {self.groups} must partition axes 0..{nd - 1}")
         self.stage_activation = stage_activation
-        fan_in = c_in * sum(self.extents)
+        fan_in = self._fan_in()
         self.stage_kernels = [
             Parameter(_uniform_init(rng, (n_f,) + tuple(self.extents[a] for a in g), fan_in))
             for g in self.groups
         ]
         self.bias = Parameter(_uniform_init(rng, (n_f,), fan_in))
         self._cache = None
+
+    def _fan_in(self) -> int:
+        return self.c_in * sum(self.extents)
 
     def equivalent_kernels(self) -> np.ndarray:
         """Full kernels ``[n_f, *extents]`` as outer products of the stages."""
@@ -318,7 +260,9 @@ class SeparableConv(Layer):
             shape = [self.n_f] + [1] * len(self.extents)
             for a in g:
                 shape[1 + a] = self.extents[a]
-            full = full * ker.value.reshape(shape)
+            # a stage kernel's axes follow its group's order, not the spatial order
+            in_spatial_order = ker.value.transpose(0, *(1 + np.argsort(g)))
+            full = full * in_spatial_order.reshape(shape)
         return full
 
     def set_stage_kernels(self, factors) -> None:
@@ -334,7 +278,7 @@ class SeparableConv(Layer):
         nd = len(self.extents)
         if x.ndim != 2 + nd or x.shape[1] != self.c_in:
             raise ValueError(
-                f"sepconv expects [batch, {self.c_in}, *spatial({nd})], got {x.shape}"
+                f"{self.kind} expects [batch, {self.c_in}, *spatial({nd})], got {x.shape}"
             )
         self._out_spatial(x.shape[2:])
         # channels fold into the multi-index first; the filter axis is
@@ -347,7 +291,7 @@ class SeparableConv(Layer):
             offset = 1 if s == 0 else 2
             z = np.moveaxis(z, [offset + a for a in group], range(z.ndim - len(group), z.ndim))
             stage_inputs.append(z)
-            z = _conv_trailing(z, ker.value, filters_in_z=(s > 0))
+            z = _correlate(z, ker.value.shape[1:], s > 0, ker.value)
             z = np.moveaxis(z, range(z.ndim - len(group), z.ndim), [2 + a for a in group])
             if self.stage_activation and s < len(self.groups) - 1:
                 preacts.append(z)
@@ -368,10 +312,8 @@ class SeparableConv(Layer):
             group = self.groups[s]
             ker = self.stage_kernels[s]
             g = np.moveaxis(g, [2 + a for a in group], range(g.ndim - len(group), g.ndim))
-            ker.grad += _conv_trailing_kernel_grad(
-                stage_inputs[s], g, ker.value.shape[1:], filters_in_z=(s > 0)
-            )
-            g = _conv_trailing_input_grad(g, ker.value, sum_filters=(s == 0))
+            ker.grad += _correlate(stage_inputs[s], ker.value.shape[1:], s > 0, g, kernel_grad=True)
+            g = _correlate_input_grad(g, ker.value, s > 0)
             offset = 1 if s == 0 else 2
             g = np.moveaxis(g, range(g.ndim - len(group), g.ndim), [offset + a for a in group])
         return np.repeat(g[:, None], self.c_in, axis=1)
@@ -386,13 +328,35 @@ class SeparableConv(Layer):
 
     def output_shape(self, in_shape):
         if in_shape[0] != self.c_in:
-            raise ValueError(f"sepconv expects {self.c_in} channels, got {in_shape[0]}")
+            raise ValueError(f"{self.kind} expects {self.c_in} channels, got {in_shape[0]}")
         return (self.n_f,) + self._out_spatial(in_shape[1:])
 
     def parameters(self):
         out = [(f"stage{i}", p) for i, p in enumerate(self.stage_kernels)]
         out.append(("bias", self.bias))
         return out
+
+
+class Conv(SeparableConv):
+    """Full N-dimensional convolution layer (N = 1, 2 or 3).
+
+    Input ``[batch, c_in, *spatial]``, output ``[batch, n_f, *spatial -
+    extents + 1]``.  This is the one-stage separable layer: its single
+    group spans every axis, so its kernel is the full ``[n_f, *extents]``.
+    """
+
+    kind = "conv"
+
+    def __init__(self, c_in: int, n_f: int, extents, rng: np.random.Generator):
+        extents = tuple(extents)
+        super().__init__(c_in, n_f, extents, rng, groups=(tuple(range(len(extents))),))
+        (self.kernel,) = self.stage_kernels
+
+    def _fan_in(self) -> int:
+        return self.c_in * int(np.prod(self.extents))
+
+    def parameters(self):
+        return [("kernel", self.kernel), ("bias", self.bias)]
 
 
 class BatchNorm(Layer):

@@ -3,9 +3,8 @@
 Tensors are plain ``numpy.ndarray`` objects in float64, row-major (last
 index fastest).  This module provides the shape algebra (reshape,
 transpose, outer products), reference valid convolutions used as oracles
-by the neural-network layers, and a small-matrix SVD based on one-sided
-Jacobi rotations.  Everything here is a pure function; inputs are never
-mutated.
+by the neural-network layers, and a thin SVD for small matrices.
+Everything here is a pure function; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ __all__ = [
     "svd_small",
     "frobenius_norm",
 ]
-
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-12
 
 
 class SvdResult(NamedTuple):
@@ -138,79 +134,14 @@ def frobenius_norm(t: np.ndarray) -> float:
 
 
 def svd_small(m: np.ndarray, max_dim: int = 64) -> SvdResult:
-    """Full SVD of a small matrix by one-sided Jacobi rotations.
+    """Thin SVD of a small matrix (LAPACK via ``np.linalg.svd``).
 
-    Columns of a working copy are rotated pairwise until the off-diagonal
-    Frobenius norm of ``A^T A`` falls below ``1e-12`` relative to
-    ``max(1, ||M||_F^2)``.  Raises ``ValueError`` on inputs larger than
-    ``max_dim`` per side and ``RuntimeError`` if 100 sweeps do not
-    converge.
+    Raises ``ValueError`` on inputs that are not rank 2 or are larger
+    than ``max_dim`` per side.
     """
     if m.ndim != 2:
         raise ValueError(f"svd_small expects a rank-2 tensor, got rank {m.ndim}")
-    n_rows, n_cols = m.shape
-    if max(n_rows, n_cols) > max_dim:
+    if max(m.shape) > max_dim:
         raise ValueError(f"matrix {m.shape} exceeds max_dim={max_dim}")
-
-    transposed = n_rows < n_cols
-    a = np.array(m.T if transposed else m, dtype=np.float64)
-    n, k = a.shape
-    v = np.eye(k)
-
-    scale = max(1.0, float(np.sum(a * a)))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                gamma = float(a[:, p] @ a[:, q])
-                off += 2.0 * gamma * gamma
-                if gamma == 0.0:
-                    continue
-                alpha = float(a[:, p] @ a[:, p])
-                beta = float(a[:, q] @ a[:, q])
-                zeta = (beta - alpha) / (2.0 * gamma)
-                # sign(0) must be +1 here or equal-norm columns never rotate
-                t = np.copysign(1.0, zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                ap = a[:, p].copy()
-                a[:, p] = c * ap - s * a[:, q]
-                a[:, q] = s * ap + c * a[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if np.sqrt(off) < _JACOBI_TOL * scale:
-            break
-    else:
-        raise RuntimeError(f"Jacobi SVD did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-
-    sigma = np.sqrt(np.sum(a * a, axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    a = a[:, order]
-    v = v[:, order]
-
-    u = np.zeros((n, k))
-    norm_floor = np.finfo(np.float64).eps * max(n, k) * max(sigma[0], 1.0) if k else 0.0
-    for j in range(k):
-        if sigma[j] > norm_floor:
-            u[:, j] = a[:, j] / sigma[j]
-        else:
-            u[:, j] = _orthonormal_completion(u[:, :j], n)
-
-    if transposed:
-        u, v = v, u
-    return SvdResult(sigma, u, v)
-
-
-def _orthonormal_completion(basis: np.ndarray, n: int) -> np.ndarray:
-    # Deterministic unit vector orthogonal to the given columns.
-    for i in range(n):
-        cand = np.zeros(n)
-        cand[i] = 1.0
-        if basis.shape[1]:
-            cand -= basis @ (basis.T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            return cand / norm
-    raise RuntimeError("failed to complete orthonormal basis")
+    u, sigma, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
+    return SvdResult(sigma, u, vt.T)

@@ -4,19 +4,20 @@ A sample couples a parameter vector with the simulated displacement and
 velocity on the zoom window plus their ring traces.  Files use the
 ``WDS1`` layout (little-endian): magic, format version u32, grid block,
 sample count u64, then per-sample records of 3 float64 parameters
-followed by the four tensors in the checkpoint tensor encoding (rank
-u64, extents u64, float64 data).  Identical grids and samples produce
-byte-identical files.
+followed by the four tensors in the tensor record encoding shared with
+checkpoints (rank u64, extents u64, float64 data; see
+:mod:`sepconvwave.records`).  Identical grids and samples produce
+byte-identical files; truncated or padded files are rejected on load.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ..records import RecordReader, write_array, write_header
 from .grid import GridSpec, extract_boundary, restrict
 from .sampling import WaveParams, lhs_sample
 from .solver import solve_wave, velocity_field
@@ -127,59 +128,33 @@ class Scaler:
         return x * std + mean
 
 
-def _write_plain_tensor(fh, array: np.ndarray) -> None:
-    data = np.asarray(array, dtype="<f8")
-    fh.write(struct.pack("<Q", data.ndim))
-    fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-    fh.write(data.tobytes())
-
-
-def _read_plain_tensor(fh) -> np.ndarray:
-    (rank,) = struct.unpack("<Q", fh.read(8))
-    shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-    count = int(np.prod(shape)) if shape else 1
-    return np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
-
-
-_GRID_FIELDS = ("lx", "ly", "c", "dt")
-_GRID_INTS = ("nx", "ny", "zoom_ix", "zoom_iy", "zoom_nx", "zoom_ny", "nt")
+# the grid block: four float64 fields, then seven u64 fields
+_GRID_FIELDS = ("lx", "ly", "c", "dt", "nx", "ny", "zoom_ix", "zoom_iy", "zoom_nx", "zoom_ny", "nt")
+_GRID_FORMAT = "<4d7Q"
+_SAMPLE_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
 
 def save_dataset(path, dataset: WaveDataset) -> None:
-    path = Path(path)
     g = dataset.grid
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<4d", *(getattr(g, f) for f in _GRID_FIELDS)))
-        fh.write(struct.pack("<7Q", *(getattr(g, f) for f in _GRID_INTS)))
+        write_header(fh, MAGIC, VERSION)
+        fh.write(struct.pack(_GRID_FORMAT, *(getattr(g, f) for f in _GRID_FIELDS)))
         fh.write(struct.pack("<Q", len(dataset.samples)))
         for s in dataset.samples:
             fh.write(struct.pack("<3d", *s.params))
-            for field in (s.u, s.v, s.boundary_u, s.boundary_v):
-                _write_plain_tensor(fh, field)
+            for field in _SAMPLE_FIELDS:
+                write_array(fh, getattr(s, field))
 
 
 def load_dataset(path) -> WaveDataset:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a dataset file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported dataset version {version}")
-        floats = struct.unpack("<4d", fh.read(32))
-        ints = struct.unpack("<7Q", fh.read(56))
-        grid = GridSpec(
-            **dict(zip(_GRID_FIELDS, floats)),
-            **{k: int(v) for k, v in zip(_GRID_INTS, ints)},
-        )
-        (count,) = struct.unpack("<Q", fh.read(8))
+    with RecordReader(path) as reader:
+        reader.header(MAGIC, VERSION, "dataset")
+        grid = GridSpec(**dict(zip(_GRID_FIELDS, reader.unpack(_GRID_FORMAT, "grid block"))))
+        (count,) = reader.unpack("<Q", "sample count")
         samples = []
-        for _ in range(count):
-            params = WaveParams(*struct.unpack("<3d", fh.read(24)))
-            u = _read_plain_tensor(fh)
-            v = _read_plain_tensor(fh)
-            bu = _read_plain_tensor(fh)
-            bv = _read_plain_tensor(fh)
-            samples.append(Sample(params, u, v, bu, bv))
-        return WaveDataset(grid, samples)
+        for i in range(count):
+            params = WaveParams(*reader.unpack("<3d", f"sample {i} parameters"))
+            fields = [reader.array(f"sample {i} {name}") for name in _SAMPLE_FIELDS]
+            samples.append(Sample(params, *fields))
+        reader.finish()
+    return WaveDataset(grid, samples)

@@ -43,6 +43,14 @@ class TestExitCodes:
     def test_train_without_dataset_is_runtime_error(self, tmp_path):
         assert main(["train", "--config", TINY, "--out", str(tmp_path / "empty")]) == 2
 
+    def test_train_on_truncated_dataset_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
+        train = out / "train.wds"
+        train.write_bytes(train.read_bytes()[:-5])
+        assert main(["train", "--config", TINY, "--out", str(out)]) == 2
+        assert "train.wds: truncated at byte" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

@@ -304,3 +304,20 @@ class TestCheckpoint:
         save_tensors(path, {"unrelated": np.zeros(3)})
         with pytest.raises(ValueError):
             load_model(path, model)
+
+    def test_truncated_or_padded_file_rejected(self, tmp_path):
+        rng = np.random.default_rng(61)
+        whole = tmp_path / "whole.scnn"
+        tensors = {"a.kernel": rng.standard_normal((2, 3)), "b.bias": rng.standard_normal(4)}
+        save_tensors(whole, tensors)
+        data = whole.read_bytes()
+        # magic, version, name length, name, rank, extents, data, second record
+        for cut in (2, 6, 10, 14, 20, 30, 60, len(data) - 1):
+            path = tmp_path / f"cut{cut}.scnn"
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=rf"cut{cut}\.scnn: truncated at byte \d+"):
+                load_tensors(path)
+        padded = tmp_path / "padded.scnn"
+        padded.write_bytes(data + b"\x01" * 8)
+        with pytest.raises(ValueError, match=rf"padded\.scnn: truncated at byte {len(data) + 4}"):
+            load_tensors(padded)

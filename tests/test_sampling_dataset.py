@@ -184,3 +184,25 @@ class TestDataset:
         path.write_bytes(b"JUNKJUNK")
         with pytest.raises(ValueError):
             load_dataset(path)
+
+    def test_truncated_file_names_file_and_offset(self, tmp_path):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        whole = tmp_path / "whole.wds"
+        save_dataset(whole, generate_dataset(grid, 2, seed=16))
+        data = whole.read_bytes()
+        # header, grid block, sample params, tensor rank, extents, data, last byte
+        for cut in (0, 3, 6, 40, 100, 124, 130, 150, len(data) // 2, len(data) - 1):
+            path = tmp_path / f"cut{cut}.wds"
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=rf"cut{cut}\.wds: truncated at byte \d+"):
+                load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        path = tmp_path / "padded.wds"
+        save_dataset(path, generate_dataset(grid, 2, seed=17))
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 8)
+        with pytest.raises(ValueError, match=rf"padded\.wds: 8 trailing bytes at byte {size}"):
+            load_dataset(path)
