@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from ..records import RecordReader, write_array, write_header
+from ..records import RecordReader, atomic_write, write_array, write_header
 
 __all__ = ["MAGIC", "VERSION", "save_tensors", "load_tensors", "save_model", "load_model"]
 
@@ -28,7 +28,7 @@ VERSION = 1
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         write_header(fh, MAGIC, VERSION)
         for name, array in tensors.items():
             encoded = name.encode("utf-8")

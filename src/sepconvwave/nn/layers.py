@@ -16,6 +16,25 @@ and, with the output gradient in the kernel's place, the kernel
 gradient.  Its adjoint gives the input gradient: a scatter-add of taps
 (col2im) at stage 0, and at a depthwise stage the same contraction over
 the zero-padded gradient with the tap-reversed kernel.
+
+Every stage correlates through the polyphase form of that contraction,
+so a convolution can read a nearest-neighbour upsample without the
+repeat being built (resize-convolution; Odena, Dumoulin & Olah 2016, and
+the sub-pixel identity of Shi et al. 2016).  A valid correlation of a
+signal repeated f-fold with a k-tap kernel K is, for each output phase
+p < f, a valid correlation of the un-repeated signal with the merged
+kernel ``K'_p[j] = sum of K[t] over (p + t) // f == j``, which has
+``(p + k - 1) // f + 1`` taps; the phases are interleaved and cropped to
+``f * n - k + 1``.  At f = 2, 7 taps become 4 and 5 become 3.  The merge
+runs per axis, so each phase of a separable stage stays separable, and a
+stage folds only its own axes' repeats: the others commute with it and
+wait for their stage.  The kernel gradient is the merge's adjoint, and
+the input gradient lands on the un-repeated tensor.  A factor of 1 is
+the degenerate case: one phase whose merged kernel is the kernel.
+:class:`~sepconvwave.nn.Model` links each upsample that a convolution
+reads directly; a linked :class:`Upsample` passes the convolution a
+NaN-filled stand-in of the repeated shape that carries the un-repeated
+tensor and the factors.
 """
 
 from __future__ import annotations
@@ -164,6 +183,115 @@ def _correlate_input_grad(grad: np.ndarray, kernel: np.ndarray, depthwise: bool)
     return gin
 
 
+def _merge(f: int, k: int) -> np.ndarray:
+    """Polyphase merge of a ``k``-tap kernel read through an ``f``-fold repeat.
+
+    ``m[p, j, t]`` is 1 where tap ``t`` of output phase ``p`` reads entry
+    ``j`` of the un-repeated signal, ``(p + t) // f == j``, so phase p's
+    merged kernel is ``m[p] @ K``.  Phase p has ``(p + k - 1) // f + 1``
+    taps; shorter phases are zero-padded to the longest.  At ``f = 1``
+    this is the identity.
+    """
+    p, t = np.ogrid[:f, :k]
+    m = np.zeros((f, (f + k - 2) // f + 1, k))
+    m[p, (p + t) // f, t] = 1.0
+    return m
+
+
+def _phase_kernels(kernel: np.ndarray, merges) -> np.ndarray:
+    """Every output phase's merged kernel, ``[n_f, *factors, *merged taps]``.
+
+    The merge runs axis by axis, one small matrix product each.
+    """
+    g = len(merges)
+    out = kernel
+    for i, m in enumerate(merges):
+        out = np.moveaxis(np.tensordot(out, m.reshape(-1, m.shape[2]), axes=([1 + i], [1])), -1, 1 + i)
+    out = out.reshape((len(kernel),) + tuple(n for m in merges for n in m.shape[:2]))
+    return out.transpose(0, *range(1, 2 * g, 2), *range(2, 2 * g + 1, 2))
+
+
+def _phase_kernels_adjoint(grad: np.ndarray, merges) -> np.ndarray:
+    """Adjoint of :func:`_phase_kernels`: scatter-add each phase's taps onto the kernel's."""
+    g = len(merges)
+    out = grad.transpose(0, *(a for i in range(g) for a in (1 + i, 1 + g + i)))
+    out = out.reshape((len(grad),) + tuple(m.shape[0] * m.shape[1] for m in merges))
+    for i, m in enumerate(merges):
+        out = np.moveaxis(np.tensordot(out, m.reshape(-1, m.shape[2]), axes=([1 + i], [0])), -1, 1 + i)
+    return out
+
+
+def _polyphase(z: np.ndarray, kernel: np.ndarray, factors, depthwise: bool):
+    """Valid correlation of ``z`` repeated ``factors``-fold along its trailing axes.
+
+    The repeat is never built.  Output phase ``p`` (the output index modulo
+    the factor, per axis) is a valid correlation of ``z`` itself with that
+    phase's merged kernel; stage 0 stacks the phases as extra filters of
+    its one contraction, a depthwise stage runs one contraction per phase.
+    The phases are then interleaved (depth-to-space) and cropped to
+    ``f * n - k + 1``.  With every factor 1 there is one phase, whose
+    merged kernel is the kernel.  Returns the output and the plan that
+    :func:`_polyphase_backward` reuses.
+    """
+    g = len(factors)
+    merges = [_merge(f, k) for f, k in zip(factors, kernel.shape[1:])]
+    phase = _phase_kernels(kernel, merges)
+    taps = phase.shape[1 + g:]
+    small = z.shape[-g:]
+    # a phase one tap shorter than the longest reads one entry past the end
+    pad = [t - (k - 1) // f - 1 for f, k, t in zip(factors, kernel.shape[1:], taps)]
+    if any(pad):
+        z = np.pad(z, [(0, 0)] * (z.ndim - g) + [(0, n) for n in pad])
+    if depthwise:
+        y = np.stack([_correlate(z, taps, True, phase[(slice(None),) + p])
+                      for p in np.ndindex(*factors)], axis=2)
+    else:
+        y = _correlate(z, taps, False, phase.reshape((-1,) + taps))
+    r = z.ndim - g - 1 - depthwise  # axes that are neither batch, filter nor correlated
+    y = y.reshape((len(z), len(kernel)) + tuple(factors) + y.shape[-(r + g):])
+    out = y.shape[2 + g + r:]
+    y = y.transpose(0, 1, *range(2 + g, 2 + g + r),
+                    *(a for i in range(g) for a in (2 + g + r + i, 2 + i)))
+    y = y.reshape(y.shape[:2 + r] + tuple(n * f for n, f in zip(out, factors)))
+    crop = tuple(slice(f * n - k + 1) for f, n, k in zip(factors, small, kernel.shape[1:]))
+    return y[(Ellipsis,) + crop], (z, merges, phase, small)
+
+
+def _polyphase_backward(grad: np.ndarray, plan, depthwise: bool):
+    """Kernel and input gradients of :func:`_polyphase`, the input's un-repeated.
+
+    The output gradient is zero-padded over the cropped phases and split
+    back into phases (space-to-depth).  Each phase's merged-kernel
+    gradient is scatter-added onto the kernel's taps by the merge's
+    adjoint; the input gradients of the phases add up on ``z``.
+    """
+    z, merges, phase, small = plan
+    g = len(merges)
+    factors = tuple(m.shape[0] for m in merges)
+    taps = phase.shape[1 + g:]
+    n_out = tuple(n - t + 1 for n, t in zip(z.shape[-g:], taps))
+    extra = [f * n - L for f, n, L in zip(factors, n_out, grad.shape[-g:])]
+    if any(extra):
+        grad = np.pad(grad, [(0, 0)] * (grad.ndim - g) + [(0, n) for n in extra])
+    lead = grad.ndim - g
+    grad = grad.reshape(grad.shape[:lead] + tuple(n for nf in zip(n_out, factors) for n in nf))
+    grad = grad.transpose(0, 1, *(lead + 2 * i + 1 for i in range(g)), *range(2, lead),
+                          *(lead + 2 * i for i in range(g)))
+    if depthwise:
+        phases = list(np.ndindex(*factors))
+        dphase = np.stack([_correlate(z, taps, True, grad[(slice(None), slice(None)) + p],
+                                      kernel_grad=True) for p in phases], axis=1)
+        parts = [_correlate_input_grad(grad[(slice(None), slice(None)) + p],
+                                       phase[(slice(None),) + p], True) for p in phases]
+        gin = sum(parts[1:], parts[0])
+    else:
+        grad = grad.reshape((len(grad), -1) + grad.shape[2 + g:])
+        dphase = _correlate(z, taps, False, grad, kernel_grad=True)
+        gin = _correlate_input_grad(grad, phase.reshape((-1,) + taps), False)
+    dkernel = _phase_kernels_adjoint(dphase.reshape(phase.shape), merges)
+    return dkernel, gin[(Ellipsis,) + tuple(slice(n) for n in small)]
+
+
 class Dense(Layer):
     """Affine map on the trailing feature axis: ``y = x W^T + b``."""
 
@@ -281,28 +409,32 @@ class SeparableConv(Layer):
                 f"{self.kind} expects [batch, {self.c_in}, *spatial({nd})], got {x.shape}"
             )
         self._out_spatial(x.shape[2:])
-        # channels fold into the multi-index first; the filter axis is
-        # created by the first stage and carried through the pipeline of
-        # axis moves (the reshape/transpose steps) and 1D convolutions
-        z = x.sum(axis=1)
-        stage_inputs = []
+        # a linked Upsample's stand-in: compute from the un-repeated tensor
+        small, factors = (x.small, x.factors[1:]) if isinstance(x, _Repeated) else (x, (1,) * nd)
+        # channels fold into the multi-index first (the sum commutes with
+        # the repeat); the filter axis is created by the first stage and
+        # carried through the pipeline of axis moves and correlations.  A
+        # stage folds in only its own axes' repeats; the others commute
+        # with it and wait for their own stage.
+        z = small.sum(axis=1)
+        plans = []
         preacts = []
         for s, (group, ker) in enumerate(zip(self.groups, self.stage_kernels)):
             offset = 1 if s == 0 else 2
             z = np.moveaxis(z, [offset + a for a in group], range(z.ndim - len(group), z.ndim))
-            stage_inputs.append(z)
-            z = _correlate(z, ker.value.shape[1:], s > 0, ker.value)
+            z, plan = _polyphase(z, ker.value, tuple(factors[a] for a in group), s > 0)
+            plans.append(plan)
             z = np.moveaxis(z, range(z.ndim - len(group), z.ndim), [2 + a for a in group])
             if self.stage_activation and s < len(self.groups) - 1:
                 preacts.append(z)
                 z = np.tanh(z)
             else:
                 preacts.append(None)
-        self._cache = (stage_inputs, preacts)
+        self._cache = (plans, preacts)
         return z + self.bias.value.reshape((1, self.n_f) + (1,) * nd)
 
     def backward(self, grad):
-        stage_inputs, preacts = self._cache
+        plans, preacts = self._cache
         nd = len(self.extents)
         self.bias.grad += grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
         g = grad
@@ -310,10 +442,9 @@ class SeparableConv(Layer):
             if preacts[s] is not None:
                 g = g * (1.0 - np.tanh(preacts[s]) ** 2)
             group = self.groups[s]
-            ker = self.stage_kernels[s]
             g = np.moveaxis(g, [2 + a for a in group], range(g.ndim - len(group), g.ndim))
-            ker.grad += _correlate(stage_inputs[s], ker.value.shape[1:], s > 0, g, kernel_grad=True)
-            g = _correlate_input_grad(g, ker.value, s > 0)
+            kgrad, g = _polyphase_backward(g, plans[s], s > 0)
+            self.stage_kernels[s].grad += kgrad
             offset = 1 if s == 0 else 2
             g = np.moveaxis(g, range(g.ndim - len(group), g.ndim), [offset + a for a in group])
         return np.repeat(g[:, None], self.c_in, axis=1)
@@ -471,8 +602,33 @@ class Reshape(Layer):
         return self.out
 
 
+class _Repeated(np.ndarray):
+    """Read-only, NaN-filled stand-in for ``small`` repeated ``factors``-fold.
+
+    It has the repeated shape but no storage of its own (a broadcast
+    scalar), so shape checks and cost models see the upsampled tensor
+    while the convolution reading it computes from ``small`` and
+    ``factors``.  Anything that reads it as data reads NaN.
+    """
+
+    def __new__(cls, small: np.ndarray, factors: tuple[int, ...]):
+        shape = (len(small),) + tuple(n * f for n, f in zip(small.shape[1:], factors))
+        standin = np.broadcast_to(np.float64(np.nan), shape).view(cls)
+        standin.small, standin.factors = small, factors
+        return standin
+
+
 class Upsample(Layer):
-    """Repeat entries along per-sample axes (reshape-and-repeat upsampling)."""
+    """Repeat entries along per-sample axes (reshape-and-repeat upsampling).
+
+    A linked upsample (``linked``, set by :class:`~sepconvwave.nn.Model`
+    when a convolution reads it directly and the channel factor is 1)
+    never builds the repeat.  Its forward returns a zero-copy stand-in of
+    the repeated shape carrying the input and the factors, and the
+    convolution folds the repeat into its own correlation (the polyphase
+    identity); its backward passes the convolution's gradient, already
+    on the un-repeated input, straight through.
+    """
 
     kind = "upsample"
 
@@ -480,10 +636,13 @@ class Upsample(Layer):
         self.factors = tuple(int(f) for f in factors)
         if any(f < 1 for f in self.factors):
             raise ValueError(f"factors must be >= 1, got {self.factors}")
+        self.linked = False
 
     def forward(self, x, training=False):
         if x.ndim - 1 != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} per-sample axes, got {x.shape}")
+        if self.linked:
+            return _Repeated(x, self.factors)
         out = x
         for ax, f in enumerate(self.factors, start=1):
             if f > 1:
@@ -491,6 +650,8 @@ class Upsample(Layer):
         return out
 
     def backward(self, grad):
+        if self.linked:
+            return grad
         g = grad
         for ax, f in enumerate(self.factors, start=1):
             if f > 1:

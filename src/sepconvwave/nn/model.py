@@ -5,6 +5,15 @@ predicted field.  When layers are shared, the trunk parameters are a
 single storage instance referenced by both heads' computation paths, and
 its gradients accumulate the contributions of every head.  Shapes are
 validated end to end at construction time.
+
+Construction also links each ``Upsample`` whose channel factor is 1 and
+whose next layer in the same list (trunk or head) is a convolution: the
+upsample then hands over its un-repeated input and the convolution folds
+the repeat into its own correlation (see :mod:`sepconvwave.nn.layers`).
+The layer list, the state-dict names and the results are those of the
+materialised repeat; only the work changes.  An upsample followed by
+anything else, such as the final repeat before a ``Reshape``, still
+builds the repeated tensor.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernel_decomp import ParamBudget
-from .layers import BatchNorm, Layer, Parameter, SeparableConv
+from .layers import BatchNorm, Layer, Parameter, SeparableConv, Upsample
 
 __all__ = ["Model", "count_params"]
 
@@ -53,6 +62,11 @@ class Model:
             for layer in layers:
                 hshape = layer.output_shape(hshape)
             self.output_shapes[name] = hshape
+        # fold each upsample into the convolution that reads it
+        for part in [self.trunk, *self.heads.values()]:
+            for layer, after in zip(part, part[1:]):
+                if isinstance(layer, Upsample):
+                    layer.linked = layer.factors[0] == 1 and isinstance(after, SeparableConv)
         self._trunk_out = None
 
     @property
@@ -104,13 +118,6 @@ class Model:
 
     def parameters(self) -> list[Parameter]:
         return [p for _, layer in self._named_layers() for _, p in layer.parameters()]
-
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
-        return [
-            (f"{prefix}.{pname}", p)
-            for prefix, layer in self._named_layers()
-            for pname, p in layer.parameters()
-        ]
 
     def zero_grad(self) -> None:
         for p in self.parameters():

@@ -4,7 +4,9 @@ Both binary formats open with a 4-byte magic and a u32 format version and
 encode every array the same way: rank u64, extents as rank x u64, then
 the float64 data.  :class:`RecordReader` checks each read against the
 bytes left in the file, so a truncated or padded file fails with a
-``ValueError`` that names the file and the byte offset.
+``ValueError`` that names the file and the byte offset.  Files are
+written through :func:`atomic_write`, so a write that fails midway
+leaves the previous file, if any, as it was.
 """
 
 from __future__ import annotations
@@ -12,10 +14,32 @@ from __future__ import annotations
 import math
 import os
 import struct
+import uuid
+from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["write_header", "write_array", "RecordReader"]
+__all__ = ["atomic_write", "write_header", "write_array", "RecordReader"]
+
+
+@contextmanager
+def atomic_write(path):
+    """Binary file handle whose bytes replace ``path`` only once all are written.
+
+    The bytes go to a temporary file in the same directory, which
+    ``os.replace`` renames onto ``path`` when the block ends; if the
+    block raises, the temporary file is removed and ``path`` is untouched.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{uuid.uuid4().hex[:12]}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_header(fh, magic: bytes, version: int) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..records import RecordReader, write_array, write_header
+from ..records import RecordReader, atomic_write, write_array, write_header
 from .grid import GridSpec, extract_boundary, restrict
 from .sampling import WaveParams, lhs_sample
 from .solver import solve_wave, velocity_field
@@ -136,7 +136,7 @@ _SAMPLE_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
 def save_dataset(path, dataset: WaveDataset) -> None:
     g = dataset.grid
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         write_header(fh, MAGIC, VERSION)
         fh.write(struct.pack(_GRID_FORMAT, *(getattr(g, f) for f in _GRID_FIELDS)))
         fh.write(struct.pack("<Q", len(dataset.samples)))

@@ -321,3 +321,14 @@ class TestCheckpoint:
         padded.write_bytes(data + b"\x01" * 8)
         with pytest.raises(ValueError, match=rf"padded\.scnn: truncated at byte {len(data) + 4}"):
             load_tensors(padded)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        rng = np.random.default_rng(62)
+        path = tmp_path / "m.scnn"
+        save_tensors(path, {"a": rng.standard_normal(4)})
+        before = path.read_bytes()
+        # the second tensor cannot be encoded as float64: the write fails midway
+        with pytest.raises(ValueError):
+            save_tensors(path, {"a": rng.standard_normal(4), "b": np.array(["text"])})
+        assert path.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["m.scnn"]

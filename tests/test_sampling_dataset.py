@@ -197,6 +197,28 @@ class TestDataset:
             with pytest.raises(ValueError, match=rf"cut{cut}\.wds: truncated at byte \d+"):
                 load_dataset(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        import sepconvwave.wave.dataset as dataset_module
+
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        path = tmp_path / "data.wds"
+        save_dataset(path, generate_dataset(grid, 2, seed=18))
+        before = path.read_bytes()
+        write_array = dataset_module.write_array
+        calls = []
+
+        def failing(fh, array):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write_array(fh, array)
+
+        monkeypatch.setattr(dataset_module, "write_array", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(path, generate_dataset(grid, 2, seed=19))
+        assert path.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["data.wds"]
+
     def test_trailing_bytes_rejected(self, tmp_path):
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
         path = tmp_path / "padded.wds"
