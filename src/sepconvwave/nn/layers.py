@@ -10,34 +10,53 @@ so a filter costs the sum of its extents instead of their product; the
 full convolution ``Conv`` is its one-stage case, a single group holding
 every axis.
 
-All stages run on one engine: a single ``einsum`` contraction over a
-read-only sliding-window view of the stage input gives the forward pass
-and, with the output gradient in the kernel's place, the kernel
-gradient.  Its adjoint gives the input gradient: a scatter-add of taps
-(col2im) at stage 0, and at a depthwise stage the same contraction over
-the zero-padded gradient with the tap-reversed kernel.
-
-Every stage correlates through the polyphase form of that contraction,
-so a convolution can read a nearest-neighbour upsample without the
-repeat being built (resize-convolution; Odena, Dumoulin & Olah 2016, and
-the sub-pixel identity of Shi et al. 2016).  A valid correlation of a
-signal repeated f-fold with a k-tap kernel K is, for each output phase
-p < f, a valid correlation of the un-repeated signal with the merged
-kernel ``K'_p[j] = sum of K[t] over (p + t) // f == j``, which has
-``(p + k - 1) // f + 1`` taps; the phases are interleaved and cropped to
-``f * n - k + 1``.  At f = 2, 7 taps become 4 and 5 become 3.  The merge
-runs per axis, so each phase of a separable stage stays separable, and a
+A convolution can read a nearest-neighbour upsample without the repeat
+being built (resize-convolution; Odena, Dumoulin & Olah 2016, and the
+sub-pixel identity of Shi et al. 2016): every stage computes the valid
+correlation of its input repeated f-fold from the un-repeated input.  A
 stage folds only its own axes' repeats: the others commute with it and
-wait for their stage.  The kernel gradient is the merge's adjoint, and
-the input gradient lands on the un-repeated tensor.  A factor of 1 is
-the degenerate case: one phase whose merged kernel is the kernel.
+wait for their stage.  The input gradient lands on the un-repeated
+tensor, and a factor of 1 is the degenerate case of the same code.
 :class:`~sepconvwave.nn.Model` links each upsample that a convolution
 reads directly; a linked :class:`Upsample` passes the convolution a
 NaN-filled stand-in of the repeated shape that carries the un-repeated
 tensor and the factors.
+
+Two engines run the stages.
+
+* Stage 0 (all of ``Conv``, and the first stage of every separable
+  layer) reads the input shared by every filter.  One ``einsum``
+  contraction over a read-only sliding-window view gives the forward
+  pass and, with the output gradient in the kernel's place, the kernel
+  gradient; its adjoint, a scatter-add of taps (col2im), gives the input
+  gradient.  The repeat enters in polyphase form: output phase p < f is
+  a valid correlation of the un-repeated signal with the merged kernel
+  ``K'_p[j] = sum of K[t] over (p + t) // f == j``, which has
+  ``(p + k - 1) // f + 1`` taps (at f = 2, 7 taps become 4 and 5 become
+  3).  The phases are extra filters of the one contraction; they are
+  interleaved and cropped to ``f * n - k + 1``, and the kernel gradient
+  is the merge's adjoint.
+* A depthwise stage (every later stage; each filter convolves its own
+  slice) is one small dense operator per filter, applied by a batched
+  matrix product.  Per axis, a 0/1 band ``S[t, o, i] = 1 iff (o + t) //
+  f == i`` of shape ``[k, f*n - k + 1, n]`` writes the correlation of the
+  repeated signal as a matrix on the un-repeated one; the kernel
+  contracted with its axes' bands is the operator ``A[n_f, out, in]``,
+  with ``n_f * prod(f*n - k + 1) * prod(n)`` entries.  The forward pass
+  is ``z @ A^T``, the input gradient ``g @ A``, and the kernel gradient
+  the bands' adjoint applied to ``sum_b g^T @ z``.
+
+The band pays ``prod(n)`` multiply-adds per output instead of k taps,
+which is cheap for the short one-axis groups of a depthwise stage but
+not for stage 0: for Conv3D's second layer at desk scale a three-axis
+operator would hold 14 * 864 * 384 = 4.6M entries (37 MB) and cost 116M
+multiply-adds per forward at batch 25, against 11M for the windowed
+contraction (36 merged taps per output).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -108,8 +127,8 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-# batch-chunked windows: every materialised window copy stays below this
-# many float64s
+# batch-chunked windows: every window copy that stage 0 materialises
+# stays below this many float64s (depthwise stages copy no windows)
 _CHUNK_BUDGET = 8_000_000
 
 
@@ -119,58 +138,47 @@ def _batch_chunks(n_batch: int, per_sample_elements: int):
         yield start, min(start + step, n_batch)
 
 
-def _subscripts(ndim: int, g: int, depthwise: bool) -> tuple[str, str, str]:
-    """einsum subscripts ``(windows, kernel, output)`` of a valid correlation.
+def _subscripts(ndim: int, g: int) -> tuple[str, str, str]:
+    """einsum subscripts ``(windows, kernel, output)`` of stage 0's correlation.
 
     The correlation runs over the trailing ``g`` axes of an ``ndim``-axis
-    input.  The filter axis ``f`` is the input's axis 1 when ``depthwise``
-    (each filter convolves its own slice) and comes from the kernel
-    otherwise (every filter reads the shared input).
+    input shared by every filter; the filter axis ``f`` comes from the
+    kernel.
     """
-    rest = "ghi"[: ndim - g - (2 if depthwise else 1)]
+    rest = "ghi"[: ndim - g - 1]
     out, taps = "lmn"[:g], "pqr"[:g]
-    return ("bf" if depthwise else "b") + rest + out + taps, "f" + taps, "bf" + rest + out
+    return "b" + rest + out + taps, "f" + taps, "bf" + rest + out
 
 
-def _correlate(z: np.ndarray, taps, depthwise: bool, operand: np.ndarray,
-               kernel_grad: bool = False) -> np.ndarray:
-    """The engine's windowed contraction over the trailing axes of ``z``.
+def _correlate(z: np.ndarray, taps, operand: np.ndarray, kernel_grad: bool = False) -> np.ndarray:
+    """Stage 0's windowed contraction over the trailing axes of ``z``.
 
     Forward: ``operand`` is the kernel ``[n_f, *taps]`` and the result is
     the valid correlation ``[batch, n_f, *rest, *out]``.  With
     ``kernel_grad`` the operand is that result's gradient and the result is
     the kernel gradient: the same contraction, output and kernel swapped.
-    Stage 0 contracts over the taps as a matrix product on a window copy;
-    a depthwise contraction keeps its filter axis and reads the strided
-    windows in place, where einsum's own loop beats the optimizer's path.
+    Both contract over the taps as a matrix product on a window copy.
     """
-    win, ker, out = _subscripts(z.ndim, len(taps), depthwise)
+    win, ker, out = _subscripts(z.ndim, len(taps))
     spec = f"{win},{out}->{ker}" if kernel_grad else f"{win},{ker}->{out}"
     windows = sliding_window_view(z, taps, axis=tuple(range(z.ndim - len(taps), z.ndim)))
     parts = [
-        np.einsum(spec, windows[a:b], operand[a:b] if kernel_grad else operand,
-                  optimize=not depthwise)
+        np.einsum(spec, windows[a:b], operand[a:b] if kernel_grad else operand, optimize=True)
         for a, b in _batch_chunks(len(z), windows[0].size)
     ]
     return sum(parts) if kernel_grad else np.concatenate(parts)
 
 
-def _correlate_input_grad(grad: np.ndarray, kernel: np.ndarray, depthwise: bool) -> np.ndarray:
-    """Adjoint of :func:`_correlate` in its input.
+def _correlate_input_grad(grad: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_correlate` in its input: a scatter-add of taps (col2im).
 
-    Stage 0 scatters taps back (col2im): the contraction with the kernel
-    spreads every output-gradient entry over the taps of its window, laid
-    out taps first, so folding them onto the input adds one contiguous
-    slab per tap.  A depthwise stage keeps its filter axis, so its adjoint
-    is the forward contraction of the zero-padded gradient with the
-    tap-reversed kernel.
+    The contraction with the kernel spreads every output-gradient entry
+    over the taps of its window, laid out taps first, so folding them onto
+    the input adds one contiguous slab per tap.
     """
     taps = kernel.shape[1:]
     g = len(taps)
-    if depthwise:
-        padded = np.pad(grad, [(0, 0)] * (grad.ndim - g) + [(k - 1, k - 1) for k in taps])
-        return _correlate(padded, taps, True, kernel[(slice(None),) + (slice(None, None, -1),) * g])
-    win, ker, out = _subscripts(grad.ndim - 1, g, False)
+    win, ker, out = _subscripts(grad.ndim - 1, g)
     spec = f"{out},{ker}->{ker[1:]}{win[:-g]}"
     out_sp = grad.shape[-g:]
     lead = grad.shape[:1] + grad.shape[2:-g]
@@ -221,14 +229,13 @@ def _phase_kernels_adjoint(grad: np.ndarray, merges) -> np.ndarray:
     return out
 
 
-def _polyphase(z: np.ndarray, kernel: np.ndarray, factors, depthwise: bool):
-    """Valid correlation of ``z`` repeated ``factors``-fold along its trailing axes.
+def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
+    """Stage 0: valid correlation of ``z`` repeated ``factors``-fold along its trailing axes.
 
     The repeat is never built.  Output phase ``p`` (the output index modulo
     the factor, per axis) is a valid correlation of ``z`` itself with that
-    phase's merged kernel; stage 0 stacks the phases as extra filters of
-    its one contraction, a depthwise stage runs one contraction per phase.
-    The phases are then interleaved (depth-to-space) and cropped to
+    phase's merged kernel; the phases are stacked as extra filters of one
+    contraction, then interleaved (depth-to-space) and cropped to
     ``f * n - k + 1``.  With every factor 1 there is one phase, whose
     merged kernel is the kernel.  Returns the output and the plan that
     :func:`_polyphase_backward` reuses.
@@ -242,12 +249,8 @@ def _polyphase(z: np.ndarray, kernel: np.ndarray, factors, depthwise: bool):
     pad = [t - (k - 1) // f - 1 for f, k, t in zip(factors, kernel.shape[1:], taps)]
     if any(pad):
         z = np.pad(z, [(0, 0)] * (z.ndim - g) + [(0, n) for n in pad])
-    if depthwise:
-        y = np.stack([_correlate(z, taps, True, phase[(slice(None),) + p])
-                      for p in np.ndindex(*factors)], axis=2)
-    else:
-        y = _correlate(z, taps, False, phase.reshape((-1,) + taps))
-    r = z.ndim - g - 1 - depthwise  # axes that are neither batch, filter nor correlated
+    y = _correlate(z, taps, phase.reshape((-1,) + taps))
+    r = z.ndim - g - 1  # axes that are neither batch nor correlated
     y = y.reshape((len(z), len(kernel)) + tuple(factors) + y.shape[-(r + g):])
     out = y.shape[2 + g + r:]
     y = y.transpose(0, 1, *range(2 + g, 2 + g + r),
@@ -257,7 +260,7 @@ def _polyphase(z: np.ndarray, kernel: np.ndarray, factors, depthwise: bool):
     return y[(Ellipsis,) + crop], (z, merges, phase, small)
 
 
-def _polyphase_backward(grad: np.ndarray, plan, depthwise: bool):
+def _polyphase_backward(grad: np.ndarray, plan):
     """Kernel and input gradients of :func:`_polyphase`, the input's un-repeated.
 
     The output gradient is zero-padded over the cropped phases and split
@@ -277,19 +280,91 @@ def _polyphase_backward(grad: np.ndarray, plan, depthwise: bool):
     grad = grad.reshape(grad.shape[:lead] + tuple(n for nf in zip(n_out, factors) for n in nf))
     grad = grad.transpose(0, 1, *(lead + 2 * i + 1 for i in range(g)), *range(2, lead),
                           *(lead + 2 * i for i in range(g)))
-    if depthwise:
-        phases = list(np.ndindex(*factors))
-        dphase = np.stack([_correlate(z, taps, True, grad[(slice(None), slice(None)) + p],
-                                      kernel_grad=True) for p in phases], axis=1)
-        parts = [_correlate_input_grad(grad[(slice(None), slice(None)) + p],
-                                       phase[(slice(None),) + p], True) for p in phases]
-        gin = sum(parts[1:], parts[0])
-    else:
-        grad = grad.reshape((len(grad), -1) + grad.shape[2 + g:])
-        dphase = _correlate(z, taps, False, grad, kernel_grad=True)
-        gin = _correlate_input_grad(grad, phase.reshape((-1,) + taps), False)
+    grad = grad.reshape((len(grad), -1) + grad.shape[2 + g:])
+    dphase = _correlate(z, taps, grad, kernel_grad=True)
+    gin = _correlate_input_grad(grad, phase.reshape((-1,) + taps))
     dkernel = _phase_kernels_adjoint(dphase.reshape(phase.shape), merges)
     return dkernel, gin[(Ellipsis,) + tuple(slice(n) for n in small)]
+
+
+@functools.lru_cache(maxsize=256)
+def _band(k: int, f: int, n: int) -> np.ndarray:
+    """0/1 band of a ``k``-tap valid correlation read through an ``f``-fold repeat.
+
+    ``S[t, o, i]`` is 1 where tap ``t`` of output ``o`` reads entry ``i``
+    of the un-repeated signal, ``(o + t) // f == i``; its shape is
+    ``[k, f * n - k + 1, n]``.  So ``sum_t K[t] S[t]`` is the correlation
+    of the repeated signal with ``K``, as a matrix on the un-repeated one.
+    Read-only, because every caller shares it.
+    """
+    t, o = np.ogrid[:k, :f * n - k + 1]
+    band = np.zeros((k, f * n - k + 1, n))
+    band[t, o, (o + t) // f] = 1.0
+    band.flags.writeable = False
+    return band
+
+
+def _band_operator(kernel: np.ndarray, bands) -> np.ndarray:
+    """A depthwise stage as one matrix per filter, ``A[n_f, prod(out), prod(in)]``.
+
+    The kernel is contracted with each axis's band; a multi-axis group
+    gets the Kronecker product of its axes' bands.
+    """
+    op = kernel
+    for band in bands:
+        op = np.tensordot(op, band, axes=([1], [0]))
+    g = len(bands)
+    op = op.transpose(0, *range(1, 2 * g, 2), *range(2, 2 * g + 1, 2))
+    return op.reshape(len(kernel), -1, int(np.prod([band.shape[2] for band in bands])))
+
+
+def _band_operator_adjoint(grad: np.ndarray, bands) -> np.ndarray:
+    """Adjoint of :func:`_band_operator`: the kernel gradient from the operator's."""
+    g = len(bands)
+    shape = tuple(band.shape[1] for band in bands) + tuple(band.shape[2] for band in bands)
+    out = grad.reshape((len(grad),) + shape)
+    out = out.transpose(0, *(a for i in range(g) for a in (1 + i, 1 + g + i)))
+    for band in bands:
+        out = np.tensordot(out, band, axes=([1, 2], [1, 2]))
+    return out
+
+
+def _banded(z: np.ndarray, kernel: np.ndarray, factors):
+    """A depthwise stage: valid correlation of ``z`` repeated ``factors``-fold.
+
+    ``z`` is ``[batch, n_f, *rest, *group]`` and each filter correlates
+    its own slice over the trailing group axes.  The stage is one dense
+    operator per filter (:func:`_band_operator`) applied by a batched
+    matrix product, so the repeat is never built and the phases need no
+    interleave or crop.  The operator has ``n_f * prod(f*n - k + 1) *
+    prod(n)`` entries and costs ``prod(n)`` multiply-adds per output in
+    place of k taps; for the one-axis groups of the zoo on the committed
+    configs that is at most 11,520 entries (Conv1.5D_Boundary on
+    ``desk.cfg``).  Returns the output and the plan that
+    :func:`_banded_backward` reuses.
+    """
+    g = len(factors)
+    lead, small = z.shape[:-g], z.shape[-g:]
+    bands = [_band(k, f, n) for k, f, n in zip(kernel.shape[1:], factors, small)]
+    op = _band_operator(kernel, bands)
+    z = np.ascontiguousarray(z).reshape(lead[:2] + (-1, op.shape[2]))
+    # matmul runs up to 2x faster on a contiguous transpose than on the view
+    y = np.matmul(z, np.ascontiguousarray(op.transpose(0, 2, 1)))
+    return y.reshape(lead + tuple(band.shape[1] for band in bands)), (z, op, bands, small)
+
+
+def _banded_backward(grad: np.ndarray, plan):
+    """Kernel and input gradients of :func:`_banded`, the input's un-repeated.
+
+    With ``g`` the output gradient as ``[batch, n_f, rest, out]``, the
+    input gradient is ``g @ A``, the operator gradient ``sum_b g^T @ z``,
+    and the kernel gradient is that contracted with the bands.
+    """
+    z, op, bands, small = plan
+    lead = grad.shape[:-len(bands)]
+    grad = np.ascontiguousarray(grad).reshape(z.shape[:3] + (op.shape[1],))
+    dop = np.matmul(grad.transpose(0, 1, 3, 2), z).sum(axis=0)
+    return _band_operator_adjoint(dop, bands), np.matmul(grad, op).reshape(lead + small)
 
 
 class Dense(Layer):
@@ -336,9 +411,12 @@ class SeparableConv(Layer):
     stage.  The layer stores ``n_f * sum(group sizes)`` kernel weights
     plus ``n_f`` biases, never the full product.
 
-    Stage 0 runs every filter over the channel-summed input; each later
-    stage is depthwise, each filter convolving its own slice.  Both are
-    the same windowed contraction.
+    Stage 0 runs every filter over the channel-summed input, as a
+    windowed contraction; each later stage is depthwise, each filter
+    convolving its own slice, as one banded operator per filter (see the
+    module docstring).  A depthwise group of several axes gets the
+    Kronecker product of its axes' bands; only hand-passed ``groups``
+    make one.
 
     With ``stage_activation=True`` a tanh is inserted between stages,
     making the decomposition nonlinear; the default keeps stages linear
@@ -422,7 +500,8 @@ class SeparableConv(Layer):
         for s, (group, ker) in enumerate(zip(self.groups, self.stage_kernels)):
             offset = 1 if s == 0 else 2
             z = np.moveaxis(z, [offset + a for a in group], range(z.ndim - len(group), z.ndim))
-            z, plan = _polyphase(z, ker.value, tuple(factors[a] for a in group), s > 0)
+            # stage 0 reads the input every filter shares; later stages are depthwise
+            z, plan = (_banded if s else _polyphase)(z, ker.value, tuple(factors[a] for a in group))
             plans.append(plan)
             z = np.moveaxis(z, range(z.ndim - len(group), z.ndim), [2 + a for a in group])
             if self.stage_activation and s < len(self.groups) - 1:
@@ -443,7 +522,7 @@ class SeparableConv(Layer):
                 g = g * (1.0 - np.tanh(preacts[s]) ** 2)
             group = self.groups[s]
             g = np.moveaxis(g, [2 + a for a in group], range(g.ndim - len(group), g.ndim))
-            kgrad, g = _polyphase_backward(g, plans[s], s > 0)
+            kgrad, g = (_banded_backward if s else _polyphase_backward)(g, plans[s])
             self.stage_kernels[s].grad += kgrad
             offset = 1 if s == 0 else 2
             g = np.moveaxis(g, range(g.ndim - len(group), g.ndim), [offset + a for a in group])
@@ -625,9 +704,9 @@ class Upsample(Layer):
     when a convolution reads it directly and the channel factor is 1)
     never builds the repeat.  Its forward returns a zero-copy stand-in of
     the repeated shape carrying the input and the factors, and the
-    convolution folds the repeat into its own correlation (the polyphase
-    identity); its backward passes the convolution's gradient, already
-    on the un-repeated input, straight through.
+    convolution folds the repeat into each stage's correlation (see the
+    module docstring); its backward passes the convolution's gradient,
+    already on the un-repeated input, straight through.
     """
 
     kind = "upsample"

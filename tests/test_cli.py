@@ -87,6 +87,23 @@ class TestTrain:
                 trained_run / "FC_t_SL" / name
             ).read_bytes(), name
 
+    def test_deterministic_separable_outputs(self, tmp_path):
+        # the separable path (banded depthwise stages, BatchNorm) under the same contract
+        cfg = tmp_path / "sep.cfg"
+        cfg.write_text(Path(TINY).read_text().replace("variant = FC_t", "variant = Conv2.5Db")
+                       .replace("regularization = SL", "regularization = BN"))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["generate", "--config", str(cfg), "--out", str(first)]) == 0
+        again.mkdir()
+        for name in ("train.wds", "test.wds"):
+            shutil.copy(first / name, again / name)
+        for out in (first, again):
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("checkpoint.scnn", "history.csv"):
+            assert (again / "Conv2p5Db_BN" / name).read_bytes() == (
+                first / "Conv2p5Db_BN" / name
+            ).read_bytes(), name
+
     def test_history_header(self, trained_run):
         text = (trained_run / "FC_t_SL" / "history.csv").read_text().splitlines()
         assert text[0] == "epoch,loss,mse_u,mse_v,euler,lr"

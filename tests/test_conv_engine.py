@@ -1,9 +1,11 @@
-"""The windowed-contraction engine behind Conv and SeparableConv.
+"""The two engines behind Conv and SeparableConv.
 
-The batch-chunked path is forced by lowering the chunk budget and checked
-against the one-chunk result and the ``conv_valid`` oracle; a property
-test checks every grouping of the separable layer against the full
-convolution loaded with its equivalent kernels.
+Stage 0 is a windowed contraction: its batch-chunked path is forced by
+lowering the chunk budget and checked against the one-chunk result and
+the ``conv_valid`` oracle.  A depthwise stage is one banded operator per
+filter: it is checked against ``conv_valid`` on an explicit repeat of
+its input.  A property test checks every grouping of the separable layer
+against the full convolution loaded with its equivalent kernels.
 """
 
 import numpy as np
@@ -18,42 +20,39 @@ from sepconvwave.tensor_core import conv_valid
 BATCH, N_F, TAPS = 7, 3, (2, 3)
 
 
-def _stage_input(rng, depthwise):
-    # one leading non-convolved axis of 2, then the two correlated axes
-    lead = (BATCH, N_F) if depthwise else (BATCH,)
-    return rng.standard_normal(lead + (2, 6, 7))
-
-
-def _engine(z, kernel, grad, depthwise):
-    out = layers._correlate(z, TAPS, depthwise, kernel)
-    kgrad = layers._correlate(z, TAPS, depthwise, grad, kernel_grad=True)
-    igrad = layers._correlate_input_grad(grad, kernel, depthwise)
+def _engine(z, kernel, grad):
+    out = layers._correlate(z, TAPS, kernel)
+    kgrad = layers._correlate(z, TAPS, grad, kernel_grad=True)
+    igrad = layers._correlate_input_grad(grad, kernel)
     return out, kgrad, igrad
 
 
-def _oracle(z, kernel, grad, depthwise):
+def _oracle(z, kernel, grad, filter_axis):
+    """Per-slice ``conv_valid`` of the trailing axes; ``z`` holds the filter axis or not."""
     out = np.zeros(grad.shape)
     kgrad = np.zeros(kernel.shape)
     igrad = np.zeros(z.shape)
-    flipped = kernel[:, ::-1, ::-1]
-    pad = [(k - 1, k - 1) for k in TAPS]
-    for b, f, r in np.ndindex(BATCH, N_F, 2):
-        zi = (b, f, r) if depthwise else (b, r)
-        out[b, f, r] = conv_valid(z[zi], kernel[f])
-        kgrad[f] += conv_valid(z[zi], grad[b, f, r])
-        igrad[zi] += conv_valid(np.pad(grad[b, f, r], pad), flipped[f])
+    g = kernel.ndim - 1
+    flipped = kernel[(slice(None),) + (slice(None, None, -1),) * g]
+    pad = [(k - 1, k - 1) for k in kernel.shape[1:]]
+    for idx in np.ndindex(*grad.shape[:-g]):
+        b, f, rest = idx[0], idx[1], idx[2:]
+        zi = (b, f) + rest if filter_axis else (b,) + rest
+        out[idx] = conv_valid(z[zi], kernel[f])
+        kgrad[f] += conv_valid(z[zi], grad[idx])
+        igrad[zi] += conv_valid(np.pad(grad[idx], pad), flipped[f])
     return out, kgrad, igrad
 
 
-@pytest.mark.parametrize("depthwise", [False, True], ids=["stage0", "depthwise"])
-def test_chunked_path_matches_one_chunk_and_oracle(monkeypatch, depthwise):
+@pytest.mark.parametrize("rest", [(2,)], ids=["stage0"])
+def test_chunked_path_matches_one_chunk_and_oracle(monkeypatch, rest):
     rng = np.random.default_rng(40)
-    z = _stage_input(rng, depthwise)
+    z = rng.standard_normal((BATCH,) + rest + (6, 7))
     kernel = rng.standard_normal((N_F,) + TAPS)
-    grad = rng.standard_normal((BATCH, N_F, 2, 5, 5))
-    one_chunk = _engine(z, kernel, grad, depthwise)
+    grad = rng.standard_normal((BATCH, N_F) + rest + (5, 5))
+    one_chunk = _engine(z, kernel, grad)
 
-    per_sample = int(np.prod(z.shape[1:-2])) * 5 * 5 * int(np.prod(TAPS))
+    per_sample = int(np.prod(rest)) * 5 * 5 * int(np.prod(TAPS))
     monkeypatch.setattr(layers, "_CHUNK_BUDGET", 2 * per_sample)
     chunk_counts = []
     batch_chunks = layers._batch_chunks
@@ -64,16 +63,48 @@ def test_chunked_path_matches_one_chunk_and_oracle(monkeypatch, depthwise):
         return chunks
 
     monkeypatch.setattr(layers, "_batch_chunks", counting)
-    chunked = _engine(z, kernel, grad, depthwise)
+    chunked = _engine(z, kernel, grad)
     # forward and kernel gradient: batch 7 in chunks of 2; the input
     # gradient's own window copies are at least as large
     assert chunk_counts[:2] == [4, 4] and chunk_counts[2] >= 4
 
     for name, a, b, ref in zip(("forward", "kernel grad", "input grad"), one_chunk, chunked,
-                               _oracle(z, kernel, grad, depthwise)):
+                               _oracle(z, kernel, grad, filter_axis=False)):
         assert a.shape == ref.shape, name
         assert np.max(np.abs(b - a)) < 1e-12, name
         assert np.max(np.abs(b - ref)) < 1e-12, name
+
+
+@pytest.mark.parametrize("factors, taps, small", [
+    ((1,), (3,), (6,)),
+    ((2,), (5,), (4,)),
+    ((6,), (5,), (3,)),
+    ((6,), (2,), (2,)),  # k < f: some outputs read a single entry
+    ((1, 1), (2, 3), (4, 5)),
+    ((2, 6), (3, 4), (3, 2)),
+    ((6, 2), (1, 5), (2, 4)),
+], ids=lambda v: "x".join(map(str, v)))
+def test_banded_stage_matches_conv_of_the_repeat(factors, taps, small):
+    rng = np.random.default_rng(41)
+    z = rng.standard_normal((BATCH, N_F, 2) + small)
+    kernel = rng.standard_normal((N_F,) + taps)
+    repeated = z
+    for axis, f in enumerate(factors, start=z.ndim - len(factors)):
+        repeated = np.repeat(repeated, f, axis=axis)
+    out_shape = tuple(n - k + 1 for n, k in zip(repeated.shape[-len(taps):], taps))
+    grad = rng.standard_normal((BATCH, N_F, 2) + out_shape)
+    out, plan = layers._banded(z, kernel, factors)
+    kgrad, igrad = layers._banded_backward(grad, plan)
+
+    ref_out, ref_kgrad, ref_igrad_repeated = _oracle(repeated, kernel, grad, filter_axis=True)
+    ref_igrad = ref_igrad_repeated  # the repeat's adjoint sums each block of copies
+    for axis, f in enumerate(factors, start=z.ndim - len(factors)):
+        shape = ref_igrad.shape[:axis] + (ref_igrad.shape[axis] // f, f) + ref_igrad.shape[axis + 1:]
+        ref_igrad = ref_igrad.reshape(shape).sum(axis=axis + 1)
+    for name, got, ref in (("forward", out, ref_out), ("kernel grad", kgrad, ref_kgrad),
+                           ("input grad", igrad, ref_igrad)):
+        assert got.shape == ref.shape, name
+        assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref))), name
 
 
 @st.composite

@@ -3,11 +3,14 @@
 ``benchmarks/tracing.py`` wraps every layer instance's ``forward`` and
 ``backward`` and costs each convolution from the shape it is called
 with.  The file is loaded by path, unchanged, so a change to the layers
-that breaks ``benchmarks/run.py --trace 1`` fails here first.
+that breaks ``benchmarks/run.py --trace 1`` fails here first, on the
+full-kernel path (Conv3D) and on the separable one (Conv2.5Db).
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from sepconvwave import harness, wave
 from sepconvwave.nn import Upsample
@@ -23,12 +26,14 @@ def _load_tracing(monkeypatch):
     return module
 
 
-def test_traced_training_epoch_on_a_linked_conv3d(monkeypatch):
+@pytest.mark.parametrize("variant, kind", [("Conv3D", "conv"), ("Conv2.5Db", "sepconv")],
+                         ids=["Conv3D", "Conv2.5Db"])
+def test_traced_training_epoch_on_a_linked_model(monkeypatch, variant, kind):
     tracing = _load_tracing(monkeypatch)
     cfg = harness.ExperimentConfig.from_file(ROOT / "configs" / "tiny.cfg")
     grid = cfg.grid()
     dataset = wave.generate_dataset(grid, 2, seed=cfg.seed, bounds=cfg.bounds())
-    spec = harness.VariantSpec("Conv3D")
+    spec = harness.VariantSpec(variant)
     model = harness.build_model(spec, grid, cfg.zoo_widths, seed=cfg.seed)
     assert any(isinstance(layer, Upsample) and layer.linked for layer in model.all_layers())
 
@@ -41,5 +46,5 @@ def test_traced_training_epoch_on_a_linked_conv3d(monkeypatch):
 
     assert len(result.history) == 1
     names = {span[0] for span in tracer.spans}
-    assert {"nn.conv.fwd", "nn.conv.bwd", "nn.upsample.fwd", "nn.upsample.bwd"} <= names
-    assert tracer.counts["nn.conv.flop"] > 0 and tracer.counts["nn.conv.bytes"] > 0
+    assert {f"nn.{kind}.fwd", f"nn.{kind}.bwd", "nn.upsample.fwd", "nn.upsample.bwd"} <= names
+    assert tracer.counts[f"nn.{kind}.flop"] > 0 and tracer.counts[f"nn.{kind}.bytes"] > 0
