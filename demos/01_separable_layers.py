@@ -10,8 +10,8 @@ gap exactly the convolution with the truncation residual.
 
 import numpy as np
 
-from sepconvwave.kernel_decomp import decompose_2d, param_budget
-from sepconvwave.nn import SeparableConv
+from sepconvwave.kernel_decomp import decompose_2d
+from sepconvwave.nn import Conv, SeparableConv
 from sepconvwave.tensor_core import conv_valid
 
 rng = np.random.default_rng(0)
@@ -31,9 +31,12 @@ y_full = np.stack(
 print("separable vs full convolution, max |difference|:", np.abs(y_sep - y_full).max())
 
 # --- parameter budget: sum instead of product of kernel extents
-budget = param_budget([(5, 5), (7, 5, 5)], n_f=8)
-print("full kernels:      ", budget.per_layer_full, "->", budget.full_count, "weights")
-print("decomposed kernels:", budget.per_layer_decomposed, "->", budget.decomposed_count, "weights")
+for extents in [(5, 5), (7, 5, 5)]:
+    full, sep = (
+        sum(p.size for _, p in cls(1, 8, extents, np.random.default_rng(1)).parameters())
+        for cls in (Conv, SeparableConv)
+    )
+    print(f"8 filters of {extents}, with biases: full {full} weights, separable {sep}")
 
 # --- rank-1 truncation: Y - Yhat is the convolution with the residual R
 k_full = rng.standard_normal((4, 4))

@@ -6,6 +6,9 @@ assumption behind boundary-driven submodels: re-solving the zoom window
 from exact boundary traces reproduces the restricted reference field.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from sepconvwave.wave import (
@@ -13,6 +16,7 @@ from sepconvwave.wave import (
     extract_boundary,
     generate_dataset,
     lhs_sample,
+    load_dataset,
     make_grid,
     restrict,
     save_dataset,
@@ -50,5 +54,9 @@ scaler = Scaler().fit(ds)
 scaled = scaler.transform(ds.stack("u"), "u")
 print(f"scaled displacement: mean {scaled.mean():.2e}, std {scaled.std():.3f}")
 
-save_dataset("/tmp/demo_waves.wds", ds)
-print("dataset written to /tmp/demo_waves.wds")
+# bit-exact round trip through the binary dataset format
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_waves.wds"
+    save_dataset(path, ds)
+    same = np.array_equal(load_dataset(path).stack("u"), ds.stack("u"))
+    print(f"dataset file: {path.stat().st_size} bytes, round trip bit-exact: {same}")

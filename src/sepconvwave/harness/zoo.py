@@ -270,10 +270,4 @@ def build_model(
         for h in heads:
             prefix, final = builder(spec, grid, w, rng)
             head_map[h] = prefix + final
-    return Model(
-        trunk,
-        head_map,
-        input_shape=(spec.input_dim,),
-        variant=spec.name,
-        regularization=spec.regularization,
-    )
+    return Model(trunk, head_map, input_shape=(spec.input_dim,), variant=spec.name)

@@ -4,15 +4,13 @@ A 2-way kernel is approximated by the leading terms of its SVD, with
 ``sqrt(sigma)`` absorbed into each factor so the pair of 1D vectors has
 balanced magnitudes.  A 3-way kernel is decomposed slice by slice along
 its last axis, every slice contributing rank-one terms tagged with the
-unit basis vector that selects the slice.  The same module does the
-bookkeeping for parameter budgets: a full d-way kernel costs the product
-of its extents, a decomposed one only the sum.
+unit basis vector that selects the slice.  The CLI's ``compress``
+command uses it to truncate the kernels of a trained full convolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,12 +18,10 @@ from .tensor_core import frobenius_norm, svd_small
 
 __all__ = [
     "KernelDecomposition",
-    "ParamBudget",
     "decompose_2d",
     "decompose_3d",
     "reconstruct",
     "residual_norm",
-    "param_budget",
 ]
 
 
@@ -47,16 +43,6 @@ class KernelDecomposition:
         for term in self.terms:
             if len(term) != self.order:
                 raise ValueError("term arity does not match decomposition order")
-
-
-@dataclass(frozen=True)
-class ParamBudget:
-    """Trainable-parameter counts for full versus decomposed kernels."""
-
-    per_layer_full: tuple[int, ...]
-    per_layer_decomposed: tuple[int, ...]
-    full_count: int
-    decomposed_count: int
 
 
 def decompose_2d(kernel: np.ndarray, r: int) -> KernelDecomposition:
@@ -117,30 +103,3 @@ def residual_norm(kernel: np.ndarray, decomp: KernelDecomposition) -> float:
         raise ValueError(f"kernel shape {kernel.shape} != decomposition shape {decomp.shape}")
     return frobenius_norm(kernel - reconstruct(decomp))
 
-
-def param_budget(
-    kernel_extents: Sequence[Sequence[int]],
-    n_f: int,
-    bias: bool = True,
-) -> ParamBudget:
-    """Count trainable parameters per layer, full versus decomposed.
-
-    Each layer holds ``n_f`` kernels with the given extents: the full
-    form costs ``n_f * prod(extents)``, the separable form
-    ``n_f * sum(extents)``, plus ``n_f`` bias terms when enabled.
-    """
-    per_full = []
-    per_dec = []
-    for extents in kernel_extents:
-        extents = tuple(int(e) for e in extents)
-        if any(e < 1 for e in extents):
-            raise ValueError(f"kernel extents must be >= 1, got {extents}")
-        b = n_f if bias else 0
-        per_full.append(n_f * int(np.prod(extents)) + b)
-        per_dec.append(n_f * int(np.sum(extents)) + b)
-    return ParamBudget(
-        per_layer_full=tuple(per_full),
-        per_layer_decomposed=tuple(per_dec),
-        full_count=sum(per_full),
-        decomposed_count=sum(per_dec),
-    )

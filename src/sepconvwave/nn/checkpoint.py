@@ -6,7 +6,7 @@ Layout (everything little-endian):
 * format version, u32
 * a record per tensor, until end of file:
   name length u32, name bytes (UTF-8), rank u64, extents rank x u64,
-  data as float64
+  data as float64; names are unique
 
 Round trips are bit-exact: the float64 payload is written raw.  Headers
 and tensors use the record codec of :mod:`sepconvwave.records`, shared
@@ -43,7 +43,13 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         reader.header(MAGIC, VERSION, "checkpoint")
         while not reader.at_end():
             (name_len,) = reader.unpack("<I", "name length")
-            name = reader.take(name_len, "name").decode("utf-8")
+            at = reader.offset
+            try:
+                name = reader.take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: tensor name at byte {at} is not UTF-8") from None
+            if name in tensors:
+                raise ValueError(f"{path}: repeated tensor name {name!r} at byte {at}")
             tensors[name] = reader.array(name)
     return tensors
 

@@ -1,14 +1,14 @@
 """Trainable layers with explicit forward/backward passes.
 
 Every layer consumes a batch-first float64 array and caches whatever its
-backward pass needs.  Convolutions follow the channel-summed contract of
-the reference operations in :mod:`sepconvwave.tensor_core`: one kernel
-per output channel, applied to the sum over input channels, stride 1, no
-padding.  The separable layer replaces each d-way kernel with a sequence
-of small per-stage kernels (one per axis group) connected by axis moves,
-so a filter costs the sum of its extents instead of their product; the
-full convolution ``Conv`` is its one-stage case, a single group holding
-every axis.
+backward pass needs.  Convolutions follow the channel-summed contract:
+one kernel per output channel, applied to the sum over input channels,
+stride 1, no padding, so :func:`sepconvwave.tensor_core.conv_valid` of
+the channel sum is their reference.  The separable layer replaces each
+d-way kernel with a sequence of small per-stage kernels (one per axis
+group) connected by axis moves, so a filter costs the sum of its
+extents instead of their product; the full convolution ``Conv`` is its
+one-stage case, a single group holding every axis.
 
 A convolution can read a nearest-neighbour upsample without the repeat
 being built (resize-convolution; Odena, Dumoulin & Olah 2016, and the
@@ -22,7 +22,11 @@ reads directly; a linked :class:`Upsample` passes the convolution a
 NaN-filled stand-in of the repeated shape that carries the un-repeated
 tensor and the factors.
 
-Two engines run the stages.
+Both engines below read one 0/1 band per axis, ``S[t, o, i] = 1 iff
+(o + t) // f == i``, of shape ``[k, f*n - k + 1, n]``: it writes the
+correlation of the signal repeated f-fold as a matrix on the un-repeated
+one, and the kernel contracted with its axes' bands is a dense operator
+``A[n_f, out, in]``, with ``n_f * prod(f*n - k + 1) * prod(n)`` entries.
 
 * Stage 0 (all of ``Conv``, and the first stage of every separable
   layer) reads the input shared by every filter.  One ``einsum``
@@ -30,23 +34,19 @@ Two engines run the stages.
   pass and, with the output gradient in the kernel's place, the kernel
   gradient; its adjoint, a scatter-add of taps (col2im), gives the input
   gradient.  The repeat enters in polyphase form: output phase p < f is
-  a valid correlation of the un-repeated signal with the merged kernel
-  ``K'_p[j] = sum of K[t] over (p + t) // f == j``, which has
-  ``(p + k - 1) // f + 1`` taps (at f = 2, 7 taps become 4 and 5 become
-  3).  The phases are extra filters of the one contraction; they are
-  interleaved and cropped to ``f * n - k + 1``, and the kernel gradient
-  is the merge's adjoint.
+  a valid correlation of the un-repeated signal with the merged kernel,
+  row p of the band operator, which has ``(p + k - 1) // f + 1`` taps
+  (at f = 2, 7 taps become 4 and 5 become 3).  The phases are extra
+  filters of the one contraction; they are interleaved and cropped to
+  ``f * n - k + 1``, and the kernel gradient is the band operator's
+  adjoint.
 * A depthwise stage (every later stage; each filter convolves its own
-  slice) is one small dense operator per filter, applied by a batched
-  matrix product.  Per axis, a 0/1 band ``S[t, o, i] = 1 iff (o + t) //
-  f == i`` of shape ``[k, f*n - k + 1, n]`` writes the correlation of the
-  repeated signal as a matrix on the un-repeated one; the kernel
-  contracted with its axes' bands is the operator ``A[n_f, out, in]``,
-  with ``n_f * prod(f*n - k + 1) * prod(n)`` entries.  The forward pass
-  is ``z @ A^T``, the input gradient ``g @ A``, and the kernel gradient
-  the bands' adjoint applied to ``sum_b g^T @ z``.
+  slice) is the whole band operator, one small dense matrix per filter,
+  applied by a batched matrix product.  The forward pass is ``z @ A^T``,
+  the input gradient ``g @ A``, and the kernel gradient the bands'
+  adjoint applied to ``sum_b g^T @ z``.
 
-The band pays ``prod(n)`` multiply-adds per output instead of k taps,
+The whole operator pays ``prod(n)`` multiply-adds per output, not k taps,
 which is cheap for the short one-axis groups of a depthwise stage but
 not for stage 0: for Conv3D's second layer at desk scale a three-axis
 operator would hold 14 * 864 * 384 = 4.6M entries (37 MB) and cost 116M
@@ -191,102 +191,6 @@ def _correlate_input_grad(grad: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return gin
 
 
-def _merge(f: int, k: int) -> np.ndarray:
-    """Polyphase merge of a ``k``-tap kernel read through an ``f``-fold repeat.
-
-    ``m[p, j, t]`` is 1 where tap ``t`` of output phase ``p`` reads entry
-    ``j`` of the un-repeated signal, ``(p + t) // f == j``, so phase p's
-    merged kernel is ``m[p] @ K``.  Phase p has ``(p + k - 1) // f + 1``
-    taps; shorter phases are zero-padded to the longest.  At ``f = 1``
-    this is the identity.
-    """
-    p, t = np.ogrid[:f, :k]
-    m = np.zeros((f, (f + k - 2) // f + 1, k))
-    m[p, (p + t) // f, t] = 1.0
-    return m
-
-
-def _phase_kernels(kernel: np.ndarray, merges) -> np.ndarray:
-    """Every output phase's merged kernel, ``[n_f, *factors, *merged taps]``.
-
-    The merge runs axis by axis, one small matrix product each.
-    """
-    g = len(merges)
-    out = kernel
-    for i, m in enumerate(merges):
-        out = np.moveaxis(np.tensordot(out, m.reshape(-1, m.shape[2]), axes=([1 + i], [1])), -1, 1 + i)
-    out = out.reshape((len(kernel),) + tuple(n for m in merges for n in m.shape[:2]))
-    return out.transpose(0, *range(1, 2 * g, 2), *range(2, 2 * g + 1, 2))
-
-
-def _phase_kernels_adjoint(grad: np.ndarray, merges) -> np.ndarray:
-    """Adjoint of :func:`_phase_kernels`: scatter-add each phase's taps onto the kernel's."""
-    g = len(merges)
-    out = grad.transpose(0, *(a for i in range(g) for a in (1 + i, 1 + g + i)))
-    out = out.reshape((len(grad),) + tuple(m.shape[0] * m.shape[1] for m in merges))
-    for i, m in enumerate(merges):
-        out = np.moveaxis(np.tensordot(out, m.reshape(-1, m.shape[2]), axes=([1 + i], [0])), -1, 1 + i)
-    return out
-
-
-def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
-    """Stage 0: valid correlation of ``z`` repeated ``factors``-fold along its trailing axes.
-
-    The repeat is never built.  Output phase ``p`` (the output index modulo
-    the factor, per axis) is a valid correlation of ``z`` itself with that
-    phase's merged kernel; the phases are stacked as extra filters of one
-    contraction, then interleaved (depth-to-space) and cropped to
-    ``f * n - k + 1``.  With every factor 1 there is one phase, whose
-    merged kernel is the kernel.  Returns the output and the plan that
-    :func:`_polyphase_backward` reuses.
-    """
-    g = len(factors)
-    merges = [_merge(f, k) for f, k in zip(factors, kernel.shape[1:])]
-    phase = _phase_kernels(kernel, merges)
-    taps = phase.shape[1 + g:]
-    small = z.shape[-g:]
-    # a phase one tap shorter than the longest reads one entry past the end
-    pad = [t - (k - 1) // f - 1 for f, k, t in zip(factors, kernel.shape[1:], taps)]
-    if any(pad):
-        z = np.pad(z, [(0, 0)] * (z.ndim - g) + [(0, n) for n in pad])
-    y = _correlate(z, taps, phase.reshape((-1,) + taps))
-    r = z.ndim - g - 1  # axes that are neither batch nor correlated
-    y = y.reshape((len(z), len(kernel)) + tuple(factors) + y.shape[-(r + g):])
-    out = y.shape[2 + g + r:]
-    y = y.transpose(0, 1, *range(2 + g, 2 + g + r),
-                    *(a for i in range(g) for a in (2 + g + r + i, 2 + i)))
-    y = y.reshape(y.shape[:2 + r] + tuple(n * f for n, f in zip(out, factors)))
-    crop = tuple(slice(f * n - k + 1) for f, n, k in zip(factors, small, kernel.shape[1:]))
-    return y[(Ellipsis,) + crop], (z, merges, phase, small)
-
-
-def _polyphase_backward(grad: np.ndarray, plan):
-    """Kernel and input gradients of :func:`_polyphase`, the input's un-repeated.
-
-    The output gradient is zero-padded over the cropped phases and split
-    back into phases (space-to-depth).  Each phase's merged-kernel
-    gradient is scatter-added onto the kernel's taps by the merge's
-    adjoint; the input gradients of the phases add up on ``z``.
-    """
-    z, merges, phase, small = plan
-    g = len(merges)
-    factors = tuple(m.shape[0] for m in merges)
-    taps = phase.shape[1 + g:]
-    n_out = tuple(n - t + 1 for n, t in zip(z.shape[-g:], taps))
-    extra = [f * n - L for f, n, L in zip(factors, n_out, grad.shape[-g:])]
-    if any(extra):
-        grad = np.pad(grad, [(0, 0)] * (grad.ndim - g) + [(0, n) for n in extra])
-    lead = grad.ndim - g
-    grad = grad.reshape(grad.shape[:lead] + tuple(n for nf in zip(n_out, factors) for n in nf))
-    grad = grad.transpose(0, 1, *(lead + 2 * i + 1 for i in range(g)), *range(2, lead),
-                          *(lead + 2 * i for i in range(g)))
-    grad = grad.reshape((len(grad), -1) + grad.shape[2 + g:])
-    dphase = _correlate(z, taps, grad, kernel_grad=True)
-    gin = _correlate_input_grad(grad, phase.reshape((-1,) + taps))
-    dkernel = _phase_kernels_adjoint(dphase.reshape(phase.shape), merges)
-    return dkernel, gin[(Ellipsis,) + tuple(slice(n) for n in small)]
-
-
 @functools.lru_cache(maxsize=256)
 def _band(k: int, f: int, n: int) -> np.ndarray:
     """0/1 band of a ``k``-tap valid correlation read through an ``f``-fold repeat.
@@ -295,7 +199,9 @@ def _band(k: int, f: int, n: int) -> np.ndarray:
     of the un-repeated signal, ``(o + t) // f == i``; its shape is
     ``[k, f * n - k + 1, n]``.  So ``sum_t K[t] S[t]`` is the correlation
     of the repeated signal with ``K``, as a matrix on the un-repeated one.
-    Read-only, because every caller shares it.
+    Row ``p < f`` of that matrix is output phase p's merged kernel, which
+    :func:`_polyphase` reads with ``n`` the longest phase's tap count,
+    ``(f + k - 2) // f + 1``.  Read-only, because every caller shares it.
     """
     t, o = np.ogrid[:k, :f * n - k + 1]
     band = np.zeros((k, f * n - k + 1, n))
@@ -305,10 +211,12 @@ def _band(k: int, f: int, n: int) -> np.ndarray:
 
 
 def _band_operator(kernel: np.ndarray, bands) -> np.ndarray:
-    """A depthwise stage as one matrix per filter, ``A[n_f, prod(out), prod(in)]``.
+    """The kernel as one matrix per filter, ``A[n_f, prod(out), prod(in)]``.
 
     The kernel is contracted with each axis's band; a multi-axis group
-    gets the Kronecker product of its axes' bands.
+    gets the Kronecker product of its axes' bands.  On whole bands this
+    is a depthwise stage's operator; on their first f rows it gives stage
+    0's merged kernels.
     """
     op = kernel
     for band in bands:
@@ -327,6 +235,66 @@ def _band_operator_adjoint(grad: np.ndarray, bands) -> np.ndarray:
     for band in bands:
         out = np.tensordot(out, band, axes=([1, 2], [1, 2]))
     return out
+
+
+def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
+    """Stage 0: valid correlation of ``z`` repeated ``factors``-fold along its trailing axes.
+
+    The repeat is never built.  Output phase ``p`` (the output index modulo
+    the factor, per axis) is a valid correlation of ``z`` itself with that
+    phase's merged kernel, row p of the kernel's band operator
+    (:func:`_band`); the phases are stacked as extra filters of one
+    contraction, then interleaved (depth-to-space) and cropped to
+    ``f * n - k + 1``.  With every factor 1 there is one phase, whose
+    merged kernel is the kernel.  Returns the output and the plan that
+    :func:`_polyphase_backward` reuses.
+    """
+    g = len(factors)
+    taps = tuple((f + k - 2) // f + 1 for f, k in zip(factors, kernel.shape[1:]))
+    bands = [_band(k, f, t)[:, :f] for k, f, t in zip(kernel.shape[1:], factors, taps)]
+    phase = _band_operator(kernel, bands).reshape((len(kernel),) + tuple(factors) + taps)
+    small = z.shape[-g:]
+    # a phase one tap shorter than the longest reads one entry past the end
+    pad = [t - (k - 1) // f - 1 for f, k, t in zip(factors, kernel.shape[1:], taps)]
+    if any(pad):
+        z = np.pad(z, [(0, 0)] * (z.ndim - g) + [(0, n) for n in pad])
+    y = _correlate(z, taps, phase.reshape((-1,) + taps))
+    r = z.ndim - g - 1  # axes that are neither batch nor correlated
+    y = y.reshape((len(z), len(kernel)) + tuple(factors) + y.shape[-(r + g):])
+    out = y.shape[2 + g + r:]
+    y = y.transpose(0, 1, *range(2 + g, 2 + g + r),
+                    *(a for i in range(g) for a in (2 + g + r + i, 2 + i)))
+    y = y.reshape(y.shape[:2 + r] + tuple(n * f for n, f in zip(out, factors)))
+    crop = tuple(slice(f * n - k + 1) for f, n, k in zip(factors, small, kernel.shape[1:]))
+    return y[(Ellipsis,) + crop], (z, bands, phase, small)
+
+
+def _polyphase_backward(grad: np.ndarray, plan):
+    """Kernel and input gradients of :func:`_polyphase`, the input's un-repeated.
+
+    The output gradient is zero-padded over the cropped phases and split
+    back into phases (space-to-depth).  The merged kernels' gradient is
+    the band operator's gradient, so :func:`_band_operator_adjoint`
+    scatter-adds it onto the kernel's taps; the input gradients of the
+    phases add up on ``z``.
+    """
+    z, bands, phase, small = plan
+    g = len(bands)
+    factors = tuple(band.shape[1] for band in bands)
+    taps = phase.shape[1 + g:]
+    n_out = tuple(n - t + 1 for n, t in zip(z.shape[-g:], taps))
+    extra = [f * n - L for f, n, L in zip(factors, n_out, grad.shape[-g:])]
+    if any(extra):
+        grad = np.pad(grad, [(0, 0)] * (grad.ndim - g) + [(0, n) for n in extra])
+    lead = grad.ndim - g
+    grad = grad.reshape(grad.shape[:lead] + tuple(n for nf in zip(n_out, factors) for n in nf))
+    grad = grad.transpose(0, 1, *(lead + 2 * i + 1 for i in range(g)), *range(2, lead),
+                          *(lead + 2 * i for i in range(g)))
+    grad = grad.reshape((len(grad), -1) + grad.shape[2 + g:])
+    dphase = _correlate(z, taps, grad, kernel_grad=True)
+    gin = _correlate_input_grad(grad, phase.reshape((-1,) + taps))
+    dkernel = _band_operator_adjoint(dphase.reshape(len(phase), -1), bands)
+    return dkernel, gin[(Ellipsis,) + tuple(slice(n) for n in small)]
 
 
 def _banded(z: np.ndarray, kernel: np.ndarray, factors):

@@ -18,22 +18,31 @@ builds the repeated tensor.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..kernel_decomp import ParamBudget
-from .layers import BatchNorm, Layer, Parameter, SeparableConv, Upsample
+from .layers import Layer, Parameter, SeparableConv, Upsample
 
-__all__ = ["Model", "count_params"]
+__all__ = ["Model", "ParamBudget", "count_params"]
 
 
 class Model:
+    """A shared ``trunk`` followed by one or two named ``heads``.
+
+    ``input_shape`` is the per-sample input shape, and every layer's
+    shape is checked against it here.  ``variant`` is the zoo name, kept
+    for reports.  Regularization is set up outside the model:
+    :func:`sepconvwave.harness.parse_regularization` is the one place that
+    rejects batch normalization together with the Euler penalty.
+    """
+
     def __init__(
         self,
         trunk: list[Layer],
         heads: dict[str, list[Layer]],
         input_shape: tuple[int, ...],
         variant: str = "",
-        regularization: tuple[str, ...] = (),
     ):
         if not heads or len(heads) > 2:
             raise ValueError("a model needs one or two heads")
@@ -41,17 +50,6 @@ class Model:
         self.heads = {name: list(layers) for name, layers in heads.items()}
         self.input_shape = tuple(input_shape)
         self.variant = variant
-        self.regularization = tuple(regularization)
-        has_bn = any(
-            isinstance(layer, BatchNorm)
-            for part in [self.trunk, *self.heads.values()]
-            for layer in part
-        )
-        if "E" in self.regularization and (has_bn or "BN" in self.regularization):
-            raise ValueError(
-                "batch normalization and the time-difference (Euler) penalty are "
-                "mutually exclusive: batch statistics corrupt the finite differences"
-            )
         shape = self.input_shape
         for layer in self.trunk:
             shape = layer.output_shape(shape)
@@ -146,6 +144,16 @@ class Model:
 
     def all_layers(self) -> list[Layer]:
         return [layer for _, layer in self._named_layers()]
+
+
+@dataclass(frozen=True)
+class ParamBudget:
+    """Trainable-parameter counts for full versus decomposed kernels."""
+
+    per_layer_full: tuple[int, ...]
+    per_layer_decomposed: tuple[int, ...]
+    full_count: int
+    decomposed_count: int
 
 
 def count_params(model: Model) -> ParamBudget:

@@ -1,30 +1,20 @@
 """Dense tensor algebra used throughout the package.
 
 Tensors are plain ``numpy.ndarray`` objects in float64, row-major (last
-index fastest).  This module provides the shape algebra (reshape,
-transpose, outer products), reference valid convolutions used as oracles
-by the neural-network layers, and a thin SVD for small matrices.
-Everything here is a pure function; inputs are never mutated.
+index fastest).  This module provides the reference N-dimensional valid
+correlation ``conv_valid``, the oracle against which the network's
+convolution engine is tested, a thin SVD for small matrices and the
+Frobenius norm.  Everything here is a pure function; inputs are never
+mutated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "SvdResult",
-    "as_tensor",
-    "reshape",
-    "transpose",
-    "outer",
-    "conv2d_valid",
-    "conv_valid",
-    "conv_multichannel",
-    "svd_small",
-    "frobenius_norm",
-]
+__all__ = ["SvdResult", "conv_valid", "svd_small", "frobenius_norm"]
 
 
 class SvdResult(NamedTuple):
@@ -40,58 +30,8 @@ class SvdResult(NamedTuple):
     right_vectors: np.ndarray
 
 
-def as_tensor(data) -> np.ndarray:
-    """Coerce input to a contiguous float64 array."""
-    return np.ascontiguousarray(data, dtype=np.float64)
-
-
-def reshape(t: np.ndarray, new_shape: Sequence[int]) -> np.ndarray:
-    """Reshape without touching the flat data sequence.
-
-    Raises ``ValueError`` when the element counts differ.
-    """
-    new_shape = tuple(int(n) for n in new_shape)
-    if any(n < 1 for n in new_shape):
-        raise ValueError(f"all extents must be >= 1, got {new_shape}")
-    if int(np.prod(new_shape)) != t.size:
-        raise ValueError(
-            f"cannot reshape {t.shape} ({t.size} elements) to {new_shape} "
-            f"({int(np.prod(new_shape))} elements)"
-        )
-    return t.reshape(new_shape)
-
-
-def transpose(t: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Permute axes: ``out[idx o perm] == t[idx]`` for every multi-index.
-
-    ``perm`` must be a permutation of ``0..t.ndim-1``.
-    """
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(t.ndim)):
-        raise ValueError(f"{perm} is not a permutation of axes of rank-{t.ndim} tensor")
-    return np.transpose(t, perm)
-
-
-def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Outer product of two vectors: ``out[i, j] = u[i] * v[j]``."""
-    if u.ndim != 1 or v.ndim != 1:
-        raise ValueError(f"outer expects rank-1 tensors, got ranks {u.ndim} and {v.ndim}")
-    return np.outer(u, v)
-
-
-def conv2d_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid 2D cross-correlation of ``x`` with ``kernel`` (no flip).
-
-    ``y(i, j) = sum_{l,h} x(l+i, h+j) * K(l, h)`` with output shape
-    ``(n - k1 + 1, m - k2 + 1)``.  Stride 1, no padding.
-    """
-    if x.ndim != 2 or kernel.ndim != 2:
-        raise ValueError("conv2d_valid expects rank-2 input and kernel")
-    return conv_valid(x, kernel)
-
-
 def conv_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """N-dimensional valid cross-correlation (shared engine for 1D/2D/3D).
+    """N-dimensional valid cross-correlation (no kernel flip), stride 1.
 
     Accumulates one shifted slice of ``x`` per kernel tap; kernels are
     small so the loop runs over taps, not over output positions.
@@ -105,26 +45,6 @@ def conv_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     for tap in np.ndindex(*kernel.shape):
         window = tuple(slice(t, t + n) for t, n in zip(tap, out_shape))
         y += kernel[tap] * x[window]
-    return y
-
-
-def conv_multichannel(
-    x: np.ndarray,
-    kernels: np.ndarray,
-    activation: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Multi-channel valid convolution, one kernel per output channel.
-
-    Output channel ``j`` is ``sigma(sum_i x[i] * K[j])``: each kernel is
-    applied to every input channel and the per-channel responses are
-    summed, which equals convolving the channel-summed input.
-    """
-    if x.ndim != 3 or kernels.ndim != 3:
-        raise ValueError("conv_multichannel expects x[c, n, m] and kernels[c_k, n_k, m_k]")
-    summed = x.sum(axis=0)
-    y = np.stack([conv_valid(summed, k) for k in kernels])
-    if activation is not None:
-        y = activation(y)
     return y
 
 

@@ -3,9 +3,11 @@
 Stage 0 is a windowed contraction: its batch-chunked path is forced by
 lowering the chunk budget and checked against the one-chunk result and
 the ``conv_valid`` oracle.  A depthwise stage is one banded operator per
-filter: it is checked against ``conv_valid`` on an explicit repeat of
-its input.  A property test checks every grouping of the separable layer
-against the full convolution loaded with its equivalent kernels.
+filter, and stage 0 reads an upsample through the same band's rows
+(polyphase form): both are checked against ``conv_valid`` on an
+explicit repeat of their input.  A property test checks every grouping
+of the separable layer against the full convolution loaded with its
+equivalent kernels.
 """
 
 import numpy as np
@@ -85,26 +87,35 @@ def test_chunked_path_matches_one_chunk_and_oracle(monkeypatch, rest):
     ((6, 2), (1, 5), (2, 4)),
 ], ids=lambda v: "x".join(map(str, v)))
 def test_banded_stage_matches_conv_of_the_repeat(factors, taps, small):
+    """Both engines read the un-repeated input: a depthwise stage and stage 0.
+
+    Each is checked against ``conv_valid`` on an explicit ``np.repeat`` of
+    its input: the depthwise stage per filter slice, stage 0 on the input
+    every filter shares.
+    """
     rng = np.random.default_rng(41)
     z = rng.standard_normal((BATCH, N_F, 2) + small)
     kernel = rng.standard_normal((N_F,) + taps)
-    repeated = z
-    for axis, f in enumerate(factors, start=z.ndim - len(factors)):
-        repeated = np.repeat(repeated, f, axis=axis)
-    out_shape = tuple(n - k + 1 for n, k in zip(repeated.shape[-len(taps):], taps))
+    out_shape = tuple(f * n - k + 1 for f, n, k in zip(factors, small, taps))
     grad = rng.standard_normal((BATCH, N_F, 2) + out_shape)
-    out, plan = layers._banded(z, kernel, factors)
-    kgrad, igrad = layers._banded_backward(grad, plan)
-
-    ref_out, ref_kgrad, ref_igrad_repeated = _oracle(repeated, kernel, grad, filter_axis=True)
-    ref_igrad = ref_igrad_repeated  # the repeat's adjoint sums each block of copies
-    for axis, f in enumerate(factors, start=z.ndim - len(factors)):
-        shape = ref_igrad.shape[:axis] + (ref_igrad.shape[axis] // f, f) + ref_igrad.shape[axis + 1:]
-        ref_igrad = ref_igrad.reshape(shape).sum(axis=axis + 1)
-    for name, got, ref in (("forward", out, ref_out), ("kernel grad", kgrad, ref_kgrad),
-                           ("input grad", igrad, ref_igrad)):
-        assert got.shape == ref.shape, name
-        assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref))), name
+    shared = rng.standard_normal((BATCH, 2) + small)
+    engines = [("banded", z, layers._banded, layers._banded_backward, True),
+               ("stage 0", shared, layers._polyphase, layers._polyphase_backward, False)]
+    for engine, x, forward, backward, filter_axis in engines:
+        out, plan = forward(x, kernel, factors)
+        kgrad, igrad = backward(grad, plan)
+        repeated = x
+        for axis, f in enumerate(factors, start=x.ndim - len(factors)):
+            repeated = np.repeat(repeated, f, axis=axis)
+        ref_out, ref_kgrad, ref_igrad = _oracle(repeated, kernel, grad, filter_axis)
+        # the repeat's adjoint sums each block of copies
+        for axis, f in enumerate(factors, start=x.ndim - len(factors)):
+            shape = ref_igrad.shape[:axis] + (ref_igrad.shape[axis] // f, f) + ref_igrad.shape[axis + 1:]
+            ref_igrad = ref_igrad.reshape(shape).sum(axis=axis + 1)
+        for name, got, ref in (("forward", out, ref_out), ("kernel grad", kgrad, ref_kgrad),
+                               ("input grad", igrad, ref_igrad)):
+            assert got.shape == ref.shape, (engine, name)
+            assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref))), (engine, name)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Kernel decomposition: truncation residuals, reconstruction, budgets."""
+"""Kernel decomposition: truncation residuals and reconstruction."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,15 @@ from sepconvwave.kernel_decomp import (
     KernelDecomposition,
     decompose_2d,
     decompose_3d,
-    param_budget,
     reconstruct,
     residual_norm,
 )
-from sepconvwave.tensor_core import frobenius_norm, outer, svd_small
+from sepconvwave.tensor_core import frobenius_norm, svd_small
 
 
 class TestDecompose2d:
     def test_rank_one_input_exact(self):
-        k = outer(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        k = np.outer(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         d = decompose_2d(k, 1)
         assert residual_norm(k, d) < 1e-12
 
@@ -61,7 +60,7 @@ class TestDecompose2d:
 class TestDecompose3d:
     def test_rank_one_slices_exact(self):
         rng = np.random.default_rng(24)
-        slices = [outer(rng.standard_normal(3), rng.standard_normal(4)) for _ in range(2)]
+        slices = [np.outer(rng.standard_normal(3), rng.standard_normal(4)) for _ in range(2)]
         k = np.stack(slices, axis=2)
         assert residual_norm(k, decompose_3d(k, 1)) < 1e-10
 
@@ -134,33 +133,3 @@ class TestResidualNorm:
         assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
         assert residuals[-1] < 1e-10
 
-
-class TestParamBudget:
-    def test_four_filters_3x3(self):
-        b = param_budget([(3, 3)], n_f=4, bias=True)
-        assert b.full_count == 40
-        assert b.decomposed_count == 28
-
-    def test_5cubed_no_bias(self):
-        b = param_budget([(5, 5, 5)], n_f=1, bias=False)
-        assert b.full_count == 125
-        assert b.decomposed_count == 15
-
-    def test_multi_layer_totals(self):
-        b = param_budget([(3, 3), (5, 5, 5)], n_f=2, bias=True)
-        assert b.per_layer_full == (20, 252)
-        assert b.per_layer_decomposed == (14, 32)
-        assert b.full_count == 272
-        assert b.decomposed_count == 46
-
-    def test_strictly_smaller_for_d_ge_2(self):
-        rng = np.random.default_rng(30)
-        for _ in range(50):
-            d = int(rng.integers(2, 4))
-            extents = tuple(int(e) for e in rng.integers(2, 8, size=d))
-            b = param_budget([extents], n_f=int(rng.integers(1, 9)))
-            assert b.decomposed_count < b.full_count
-
-    def test_invalid_extent(self):
-        with pytest.raises(ValueError):
-            param_budget([(0, 3)], n_f=1)

@@ -1,5 +1,7 @@
 """Model composition, Adam, schedules, losses, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -92,12 +94,6 @@ class TestModel:
         only_v = trunk_grads({"u": np.zeros_like(gu), "v": gv})
         for j, a, b in zip(joint, only_u, only_v):
             assert np.max(np.abs(j - (a + b))) < 1e-12
-
-    def test_bn_plus_euler_rejected(self):
-        rng = np.random.default_rng(45)
-        layers = [Dense(3, 4, rng), BatchNorm(4), Dense(4, 2, rng)]
-        with pytest.raises(ValueError):
-            Model([], {"u": layers}, input_shape=(3,), regularization=("E",))
 
     def test_shape_chain_validated_at_construction(self):
         rng = np.random.default_rng(46)
@@ -321,6 +317,27 @@ class TestCheckpoint:
         padded.write_bytes(data + b"\x01" * 8)
         with pytest.raises(ValueError, match=rf"padded\.scnn: truncated at byte {len(data) + 4}"):
             load_tensors(padded)
+
+    @staticmethod
+    def _record(name: bytes, array) -> bytes:
+        array = np.asarray(array, dtype="<f8")
+        return (struct.pack("<I", len(name)) + name
+                + struct.pack(f"<Q{array.ndim}Q", array.ndim, *array.shape) + array.tobytes())
+
+    def test_name_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "badname.scnn"
+        path.write_bytes(b"SCNN" + struct.pack("<I", 1) + self._record(b"\xff\xfe", [1.0]))
+        # magic, version, name length: the name starts at byte 12
+        with pytest.raises(ValueError, match=r"badname\.scnn: tensor name at byte 12 is not UTF-8"):
+            load_tensors(path)
+
+    def test_repeated_name_rejected(self, tmp_path):
+        first = self._record(b"a", [1.0, 2.0])
+        path = tmp_path / "twice.scnn"
+        path.write_bytes(b"SCNN" + struct.pack("<I", 1) + first + self._record(b"a", [3.0]))
+        at = 8 + len(first) + 4
+        with pytest.raises(ValueError, match=rf"twice\.scnn: repeated tensor name 'a' at byte {at}"):
+            load_tensors(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         rng = np.random.default_rng(62)

@@ -10,24 +10,13 @@ import numpy as np
 
 from sepconvwave.kernel_decomp import decompose_2d
 from sepconvwave.nn import Conv, SeparableConv
-from sepconvwave.tensor_core import conv_multichannel
+from sepconvwave.tensor_core import conv_valid
 
 MAX_ABS = 1e-10
 
 
-def full_conv_output(x, kernels, bias):
-    """Oracle: per-sample multi-channel convolution from tensor_core."""
-    outs = []
-    for b in range(x.shape[0]):
-        y = np.stack([np.array(conv_multichannel(x[b], k[None])[0]) for k in kernels])
-        outs.append(y + bias.reshape((-1,) + (1,) * (y.ndim - 1)))
-    return np.stack(outs)
-
-
 def full_conv_output_nd(x, kernels, bias):
-    """Same oracle for d-way kernels via the shared conv engine."""
-    from sepconvwave.tensor_core import conv_valid
-
+    """Oracle: per-sample ``conv_valid`` of the channel sum, one kernel per filter."""
     outs = []
     for b in range(x.shape[0]):
         summed = x[b].sum(axis=0)
@@ -55,7 +44,7 @@ def test_matches_full_conv_2d():
         layer = SeparableConv(c, n_f, (int(kt), int(kx)), rng=rng)
         x = rng.standard_normal((int(rng.integers(1, 4)), c, 10, 12))
         out = layer.forward(x)
-        expected = full_conv_output(x, layer.equivalent_kernels(), layer.bias.value)
+        expected = full_conv_output_nd(x, layer.equivalent_kernels(), layer.bias.value)
         assert np.max(np.abs(out - expected)) < MAX_ABS
 
 
@@ -110,9 +99,9 @@ def test_rank1_truncation_residual_identity():
 
         x = rng.standard_normal((2, 1, 9, 11))
         y_hat = sep.forward(x)
-        y_full = full_conv_output(x, full_kernels, np.zeros(n_f))
+        y_full = full_conv_output_nd(x, full_kernels, np.zeros(n_f))
         residual = full_kernels - sep.equivalent_kernels()
-        gap = full_conv_output(x, residual, np.zeros(n_f))
+        gap = full_conv_output_nd(x, residual, np.zeros(n_f))
         assert np.max(np.abs((y_full - y_hat) - gap)) < MAX_ABS
 
 
@@ -123,7 +112,7 @@ def test_separable_application_of_rank1_kernel():
         a = rng.standard_normal(int(rng.integers(1, 5)))
         b = rng.standard_normal(int(rng.integers(1, 5)))
         x = rng.standard_normal((16, 16))
-        full = conv_multichannel(x[None], np.outer(a, b)[None])[0]
+        full = conv_valid(x, np.outer(a, b))
         rows = np.stack([np.convolve(row, b[::-1], mode="valid") for row in x])
         cols = np.stack(
             [np.convolve(rows[:, j], a[::-1], mode="valid") for j in range(rows.shape[1])],

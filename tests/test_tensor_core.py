@@ -1,18 +1,9 @@
-"""Tensor algebra: shape ops, reference convolutions, Jacobi SVD."""
+"""Tensor algebra: the reference valid correlation, the small SVD, the norm."""
 
 import numpy as np
 import pytest
 
-from sepconvwave.tensor_core import (
-    conv2d_valid,
-    conv_multichannel,
-    conv_valid,
-    frobenius_norm,
-    outer,
-    reshape,
-    svd_small,
-    transpose,
-)
+from sepconvwave.tensor_core import conv_valid, frobenius_norm, svd_small
 
 
 def conv_as_sparse_matrix(x_shape, kernel):
@@ -33,115 +24,19 @@ def conv_as_sparse_matrix(x_shape, kernel):
     return mat
 
 
-def multichannel_bruteforce(x, kernels):
-    """Oracle: direct triple loop over output channels, input channels, taps."""
-    c, n, m = x.shape
-    ck, k1, k2 = kernels.shape
-    y = np.zeros((ck, n - k1 + 1, m - k2 + 1))
-    for j in range(ck):
-        for i in range(c):
-            for a in range(y.shape[1]):
-                for b in range(y.shape[2]):
-                    y[j, a, b] += np.sum(x[i, a:a + k1, b:b + k2] * kernels[j])
-    return y
-
-
-class TestReshape:
-    def test_flat_identity(self):
-        t = np.arange(1.0, 7.0).reshape(2, 3)
-        r = reshape(t, (3, 2))
-        assert r.shape == (3, 2)
-        assert np.array_equal(r.ravel(), np.arange(1.0, 7.0))
-
-    def test_round_trip(self):
-        t = np.arange(6.0)
-        assert np.array_equal(reshape(reshape(t, (1, 6)), (6,)), t)
-
-    def test_product_mismatch(self):
-        with pytest.raises(ValueError):
-            reshape(np.zeros((2, 3)), (4,))
-
-    def test_round_trips_bitwise_up_to_rank_5(self):
-        rng = np.random.default_rng(11)
-        for shape in [(7,), (3, 4), (2, 3, 4), (2, 2, 3, 2), (2, 2, 2, 2, 3)]:
-            t = rng.standard_normal(shape)
-            flat = reshape(t, (t.size,))
-            back = reshape(flat, shape)
-            assert np.array_equal(back, t)
-
-
-class TestTranspose:
-    def test_matrix_transpose(self):
-        t = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert np.array_equal(transpose(t, (1, 0)), t.T)
-
-    def test_identity_perm(self):
-        t = np.arange(24.0).reshape(2, 3, 4)
-        assert np.array_equal(transpose(t, (0, 1, 2)), t)
-
-    def test_involution_rank4(self):
-        rng = np.random.default_rng(3)
-        t = rng.standard_normal((2, 3, 4, 5))
-        perm = (0, 1, 3, 2)
-        assert np.array_equal(transpose(transpose(t, perm), perm), t)
-
-    def test_invalid_perm(self):
-        with pytest.raises(ValueError):
-            transpose(np.zeros((2, 2)), (0, 0))
-
-    def test_index_contract(self):
-        rng = np.random.default_rng(4)
-        t = rng.standard_normal((2, 3, 4))
-        perm = (2, 0, 1)
-        out = transpose(t, perm)
-        for idx in np.ndindex(*t.shape):
-            assert out[tuple(idx[p] for p in perm)] == t[idx]
-
-    def test_round_trips_bitwise_up_to_rank_5(self):
-        rng = np.random.default_rng(5)
-        t = rng.standard_normal((2, 3, 2, 3, 2))
-        perm = (4, 2, 0, 3, 1)
-        inverse = tuple(np.argsort(perm))
-        assert np.array_equal(transpose(transpose(t, perm), inverse), t)
-
-
-class TestOuter:
-    def test_by_definition(self):
-        assert np.array_equal(outer(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-                              [[3.0, 4.0], [6.0, 8.0]])
-
-    def test_entry_layout(self):
-        # out[i, j] == u[i] * v[j], checked entry by entry
-        q = np.array([0.3, -1.7])
-        r = np.array([2.0, 0.5])
-        k = outer(q, r)
-        assert k[0, 0] == q[0] * r[0]
-        assert k[0, 1] == q[0] * r[1]
-        assert k[1, 0] == q[1] * r[0]
-        assert k[1, 1] == q[1] * r[1]
-
-    def test_zero(self):
-        assert np.array_equal(outer(np.zeros(2), np.array([5.0, 6.0, 7.0])),
-                              np.zeros((2, 3)))
-
-    def test_rank_error(self):
-        with pytest.raises(ValueError):
-            outer(np.zeros((2, 2)), np.zeros(2))
-
-
 class TestConv2dValid:
     def test_window_sum(self):
-        y = conv2d_valid(np.ones((3, 3)), np.ones((2, 2)))
+        y = conv_valid(np.ones((3, 3)), np.ones((2, 2)))
         assert np.array_equal(y, np.full((2, 2), 4.0))
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 5))
-        assert np.array_equal(conv2d_valid(x, np.ones((1, 1))), x)
+        assert np.array_equal(conv_valid(x, np.ones((1, 1))), x)
 
     def test_kernel_too_large(self):
         with pytest.raises(ValueError):
-            conv2d_valid(np.zeros((2, 2)), np.zeros((3, 3)))
+            conv_valid(np.zeros((2, 2)), np.zeros((3, 3)))
 
     def test_matches_sparse_matrix_form(self):
         rng = np.random.default_rng(7)
@@ -149,7 +44,7 @@ class TestConv2dValid:
         k = rng.standard_normal((2, 2))
         mat = conv_as_sparse_matrix(x.shape, k)
         expected = (mat @ x.ravel()).reshape(3, 3)
-        assert np.allclose(conv2d_valid(x, k), expected, atol=1e-12, rtol=0)
+        assert np.allclose(conv_valid(x, k), expected, atol=1e-12, rtol=0)
 
     def test_matches_sparse_matrix_up_to_8x8(self):
         rng = np.random.default_rng(8)
@@ -161,50 +56,7 @@ class TestConv2dValid:
             k = rng.standard_normal((k1, k2))
             mat = conv_as_sparse_matrix(x.shape, k)
             expected = (mat @ x.ravel()).reshape(n - k1 + 1, m - k2 + 1)
-            assert np.max(np.abs(conv2d_valid(x, k) - expected)) < 1e-12
-
-
-class TestConvMultichannel:
-    def test_reduces_to_single_channel(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((1, 5, 5))
-        k = rng.standard_normal((1, 3, 3))
-        assert np.array_equal(conv_multichannel(x, k), conv2d_valid(x[0], k[0])[None])
-
-    def test_channel_sum_linearity(self):
-        rng = np.random.default_rng(10)
-        x0 = rng.standard_normal((5, 5))
-        x = np.stack([x0, x0])
-        k = rng.standard_normal((1, 2, 2))
-        single = conv_multichannel(x0[None], k)
-        assert np.allclose(conv_multichannel(x, k), 2.0 * single, atol=1e-12, rtol=0)
-
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((2, 6, 5))
-        k = rng.standard_normal((3, 3, 2))
-        assert np.allclose(conv_multichannel(x, k), multichannel_bruteforce(x, k),
-                           atol=1e-12, rtol=0)
-
-    def test_activation_applied(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((2, 4, 4))
-        k = rng.standard_normal((2, 2, 2))
-        assert np.array_equal(conv_multichannel(x, k, np.tanh),
-                              np.tanh(conv_multichannel(x, k)))
-
-    def test_linearity_in_input(self):
-        rng = np.random.default_rng(14)
-        x1 = rng.standard_normal((2, 6, 6))
-        x2 = rng.standard_normal((2, 6, 6))
-        k = rng.standard_normal((3, 3, 3))
-        lhs = conv_multichannel(1.7 * x1 - 0.3 * x2, k)
-        rhs = 1.7 * conv_multichannel(x1, k) - 0.3 * conv_multichannel(x2, k)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            conv_multichannel(np.zeros((2, 4, 4)), np.zeros((2, 2)))
+            assert np.max(np.abs(conv_valid(x, k) - expected)) < 1e-12
 
 
 def svd_invariants_hold(m, tol=1e-10):
@@ -269,7 +121,7 @@ class TestFrobeniusNorm:
         rng = np.random.default_rng(18)
         u = rng.standard_normal(4)
         v = rng.standard_normal(6)
-        assert abs(frobenius_norm(outer(u, v))
+        assert abs(frobenius_norm(np.outer(u, v))
                    - np.linalg.norm(u) * np.linalg.norm(v)) < 1e-12
 
 
