@@ -1,14 +1,21 @@
 """Trainable layers with explicit forward/backward passes.
 
-Every layer consumes a batch-first float64 array and caches whatever its
-backward pass needs.  Convolutions follow the channel-summed contract:
-one kernel per output channel, applied to the sum over input channels,
-stride 1, no padding, so :func:`sepconvwave.tensor_core.conv_valid` of
-the channel sum is their reference.  The separable layer replaces each
-d-way kernel with a sequence of small per-stage kernels (one per axis
-group) connected by axis moves, so a filter costs the sum of its
-extents instead of their product; the full convolution ``Conv`` is its
-one-stage case, a single group holding every axis.
+Every layer consumes a batch-first float64 array.  A training-mode
+forward (``training=True``) stores what the layer's backward pass needs,
+and that backward takes the cache and clears it, so activations live
+only from a training forward to its backward: an eval-mode forward
+stores nothing, and a backward without a training forward before it
+raises ``RuntimeError``.  A backward may return a read-only view, so no
+layer writes to the gradient it receives.
+
+Convolutions follow the channel-summed contract: one kernel per output
+channel, applied to the sum over input channels, stride 1, no padding,
+so :func:`sepconvwave.tensor_core.conv_valid` of the channel sum is
+their reference.  The separable layer replaces each d-way kernel with a
+sequence of small per-stage kernels (one per axis group) connected by
+axis moves, so a filter costs the sum of its extents instead of their
+product; the full convolution ``Conv`` is its one-stage case, a single
+group holding every axis.
 
 A convolution can read a nearest-neighbour upsample without the repeat
 being built (resize-convolution; Odena, Dumoulin & Olah 2016, and the
@@ -92,6 +99,14 @@ class Layer:
     """Base layer: shape propagation, parameters, persistent state."""
 
     kind = "layer"
+    _cache = None
+
+    def _take_cache(self):
+        """The last training forward's cache, cleared; its backward takes it once."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{self.kind} backward without a preceding training forward")
+        return cache
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -345,16 +360,16 @@ class Dense(Layer):
         self.n_out = n_out
         self.weight = Parameter(_uniform_init(rng, (n_out, n_in), n_in))
         self.bias = Parameter(_uniform_init(rng, (n_out,), n_in))
-        self._x = None
 
     def forward(self, x, training=False):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"dense expects [batch, {self.n_in}], got {x.shape}")
-        self._x = x
+        self._cache = x if training else None
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad):
-        self.weight.grad += grad.T @ self._x
+        x = self._take_cache()
+        self.weight.grad += grad.T @ x
         self.bias.grad += grad.sum(axis=0)
         return grad @ self.weight.value
 
@@ -390,6 +405,10 @@ class SeparableConv(Layer):
     making the decomposition nonlinear; the default keeps stages linear
     so the layer matches the full convolution with the outer-product
     kernels exactly.
+
+    The output is C-ordered.  The input gradient, the same for every
+    input channel, is a read-only broadcast view of the gradient of the
+    channel sum.
     """
 
     kind = "sepconv"
@@ -422,7 +441,6 @@ class SeparableConv(Layer):
             for g in self.groups
         ]
         self.bias = Parameter(_uniform_init(rng, (n_f,), fan_in))
-        self._cache = None
 
     def _fan_in(self) -> int:
         return self.c_in * sum(self.extents)
@@ -477,11 +495,12 @@ class SeparableConv(Layer):
                 z = np.tanh(z)
             else:
                 preacts.append(None)
-        self._cache = (plans, preacts)
-        return z + self.bias.value.reshape((1, self.n_f) + (1,) * nd)
+        self._cache = (plans, preacts) if training else None
+        # the last stage leaves its axes permuted; the output is C-ordered
+        return np.add(z, self.bias.value.reshape((1, self.n_f) + (1,) * nd), order="C")
 
     def backward(self, grad):
-        plans, preacts = self._cache
+        plans, preacts = self._take_cache()
         nd = len(self.extents)
         self.bias.grad += grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
         g = grad
@@ -494,7 +513,8 @@ class SeparableConv(Layer):
             self.stage_kernels[s].grad += kgrad
             offset = 1 if s == 0 else 2
             g = np.moveaxis(g, range(g.ndim - len(group), g.ndim), [offset + a for a in group])
-        return np.repeat(g[:, None], self.c_in, axis=1)
+        # every input channel gets the same gradient: a read-only view, no copy
+        return np.broadcast_to(g[:, None], (len(g), self.c_in) + g.shape[1:])
 
     def _out_spatial(self, spatial):
         if len(spatial) != len(self.extents):
@@ -538,7 +558,14 @@ class Conv(SeparableConv):
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization over batch and spatial axes."""
+    """Per-channel batch normalization over batch and spatial axes.
+
+    A training forward normalizes with the batch's statistics, updates
+    the running ones, and caches the normalized input; an eval forward
+    uses the running statistics and caches nothing.  Both work on the
+    ``[batch, channels, rest]`` view, so each per-channel statistic is
+    one reduction and the normalization runs in place on one new array.
+    """
 
     kind = "batchnorm"
 
@@ -550,41 +577,45 @@ class BatchNorm(Layer):
         self.beta = Parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self._cache = None
-
-    def _shape_for(self, ndim):
-        return (1, self.channels) + (1,) * (ndim - 2)
 
     def forward(self, x, training=False):
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects channel axis {self.channels}, got {x.shape}")
-        axes = (0,) + tuple(range(2, x.ndim))
-        bshape = self._shape_for(x.ndim)
+        x3 = x.reshape(len(x), self.channels, -1)
         if training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            n = x3.shape[0] * x3.shape[2]
+            mean = np.einsum("bcs->c", x3) / n
+            xhat = x3 - mean[:, None]
+            var = np.einsum("bcs,bcs->c", xhat, xhat) / n
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
-            mean = self.running_mean
-            var = self.running_var
+            mean, var = self.running_mean, self.running_var
+            xhat = x3 - mean[:, None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
-        self._cache = (xhat, inv_std, axes, training)
-        return self.gamma.value.reshape(bshape) * xhat + self.beta.value.reshape(bshape)
+        xhat *= inv_std[:, None]
+        self._cache = (xhat, inv_std) if training else None
+        # only a training forward keeps xhat, for its backward
+        gamma = self.gamma.value[:, None]
+        out = xhat * gamma if training else np.multiply(xhat, gamma, out=xhat)
+        out += self.beta.value[:, None]
+        return out.reshape(x.shape)
 
     def backward(self, grad):
-        xhat, inv_std, axes, training = self._cache
-        bshape = self._shape_for(grad.ndim)
-        self.gamma.grad += (grad * xhat).sum(axis=axes)
-        self.beta.grad += grad.sum(axis=axes)
-        gxhat = grad * self.gamma.value.reshape(bshape)
-        if not training:
-            return gxhat * inv_std.reshape(bshape)
-        n = grad.size // self.channels
-        a = gxhat.sum(axis=axes, keepdims=True)
-        b = (gxhat * xhat).sum(axis=axes, keepdims=True)
-        return inv_std.reshape(bshape) * (gxhat - a / n - xhat * b / n)
+        xhat, inv_std = self._take_cache()
+        g3 = grad.reshape(xhat.shape)
+        dgamma = np.einsum("bcs,bcs->c", g3, xhat)
+        dbeta = np.einsum("bcs->c", g3)
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        # dx = gamma * inv_std * (grad - (xhat * dgamma + dbeta) / n), in
+        # place on the cache, which is this call's to overwrite
+        n = xhat.shape[0] * xhat.shape[2]
+        xhat *= (-dgamma / n)[:, None]
+        xhat += g3
+        xhat -= (dbeta / n)[:, None]
+        xhat *= (self.gamma.value * inv_std)[:, None]
+        return xhat.reshape(grad.shape)
 
     def output_shape(self, in_shape):
         if in_shape[0] != self.channels:
@@ -611,15 +642,18 @@ class BatchNorm(Layer):
 class Tanh(Layer):
     kind = "tanh"
 
-    def __init__(self):
-        self._out = None
-
     def forward(self, x, training=False):
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._cache = out if training else None
+        return out
 
     def backward(self, grad):
-        return grad * (1.0 - self._out ** 2)
+        # grad * (1 - out**2), in place on one temporary
+        out = self._take_cache()
+        g = np.square(out)
+        np.subtract(1.0, g, out=g)
+        g *= grad
+        return g
 
     def output_shape(self, in_shape):
         return in_shape
@@ -690,8 +724,9 @@ class Upsample(Layer):
             raise ValueError(f"expected {len(self.factors)} per-sample axes, got {x.shape}")
         if self.linked:
             return _Repeated(x, self.factors)
+        # innermost first, so each later repeat copies longer contiguous runs
         out = x
-        for ax, f in enumerate(self.factors, start=1):
+        for ax, f in reversed(list(enumerate(self.factors, start=1))):
             if f > 1:
                 out = np.repeat(out, f, axis=ax)
         return out
@@ -699,11 +734,15 @@ class Upsample(Layer):
     def backward(self, grad):
         if self.linked:
             return grad
+        # each block sum as f strided slice-adds, outermost axis first
         g = grad
         for ax, f in enumerate(self.factors, start=1):
             if f > 1:
-                shape = g.shape[:ax] + (g.shape[ax] // f, f) + g.shape[ax + 1:]
-                g = g.reshape(shape).sum(axis=ax + 1)
+                phase = [(slice(None),) * ax + (slice(p, None, f),) for p in range(f)]
+                total = g[phase[0]] + g[phase[1]]
+                for p in phase[2:]:
+                    total += g[p]
+                g = total
         return g
 
     def output_shape(self, in_shape):

@@ -17,14 +17,16 @@ __all__ = ["mse", "mse_grad", "euler_residual", "euler_residual_grads"]
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return float(np.mean(diff * diff))
+    diff = (pred - target).ravel()
+    return float(np.einsum("i,i->", diff, diff) / diff.size)
 
 
 def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return 2.0 * (pred - target) / pred.size
+    grad = pred - target
+    grad *= 2.0 / pred.size
+    return grad
 
 
 def _euler_residual_field(u: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:

@@ -35,6 +35,11 @@ class Model:
     for reports.  Regularization is set up outside the model:
     :func:`sepconvwave.harness.parse_regularization` is the one place that
     rejects batch normalization together with the Euler penalty.
+
+    Activations are cached only by a training forward and released by
+    the backward that follows it: an eval-mode forward leaves no layer
+    holding an array, and a ``backward`` without a training forward
+    before it, or a second one, raises ``RuntimeError``.
     """
 
     def __init__(
@@ -77,7 +82,7 @@ class Model:
         z = x
         for layer in self.trunk:
             z = layer.forward(z, training)
-        self._trunk_out = z
+        self._trunk_out = z if training else None
         outputs = {}
         for name, layers in self.heads.items():
             h = z
@@ -91,10 +96,11 @@ class Model:
 
         Trunk gradients are the sum over heads, so a shared trunk is
         updated by all predicted fields.  Requires a preceding training
-        forward pass.
+        forward pass, whose caches this releases.
         """
-        if self._trunk_out is None:
-            raise RuntimeError("backward called without a preceding forward pass")
+        trunk_out, self._trunk_out = self._trunk_out, None
+        if trunk_out is None:
+            raise RuntimeError("backward called without a preceding training forward pass")
         trunk_grad = None
         for name, layers in self.heads.items():
             if name not in grads:

@@ -7,7 +7,8 @@ sample count u64, then per-sample records of 3 float64 parameters
 followed by the four tensors in the tensor record encoding shared with
 checkpoints (rank u64, extents u64, float64 data; see
 :mod:`sepconvwave.records`).  Identical grids and samples produce
-byte-identical files; truncated or padded files are rejected on load.
+byte-identical files; truncated or padded files, and sample arrays whose
+shapes disagree with the grid block, are rejected on load.
 """
 
 from __future__ import annotations
@@ -151,10 +152,22 @@ def load_dataset(path) -> WaveDataset:
         reader.header(MAGIC, VERSION, "dataset")
         grid = GridSpec(**dict(zip(_GRID_FIELDS, reader.unpack(_GRID_FORMAT, "grid block"))))
         (count,) = reader.unpack("<Q", "sample count")
+        field_shape = (grid.nt, grid.zoom_nx, grid.zoom_ny)
+        ring_shape = (grid.nt, grid.n_boundary)
+        expected = dict(zip(_SAMPLE_FIELDS, (field_shape, field_shape, ring_shape, ring_shape)))
         samples = []
         for i in range(count):
             params = WaveParams(*reader.unpack("<3d", f"sample {i} parameters"))
-            fields = [reader.array(f"sample {i} {name}") for name in _SAMPLE_FIELDS]
+            fields = []
+            for name in _SAMPLE_FIELDS:
+                start = reader.offset
+                array = reader.array(f"sample {i} {name}")
+                if array.shape != expected[name]:
+                    raise ValueError(
+                        f"{path}: sample {i} {name} at byte {start} has shape {array.shape}, "
+                        f"the grid block gives {expected[name]}"
+                    )
+                fields.append(array)
             samples.append(Sample(params, *fields))
         reader.finish()
     return WaveDataset(grid, samples)

@@ -1,11 +1,13 @@
 """CLI dispatch: subcommands, exit codes, determinism contract."""
 
+import dataclasses
 import shutil
 from pathlib import Path
 
 import pytest
 
 from sepconvwave.harness.cli import main
+from sepconvwave.wave import load_dataset, save_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TINY = str(CONFIGS / "tiny.cfg")
@@ -50,6 +52,16 @@ class TestExitCodes:
         train.write_bytes(train.read_bytes()[:-5])
         assert main(["train", "--config", TINY, "--out", str(out)]) == 2
         assert "train.wds: truncated at byte" in capsys.readouterr().err
+
+    def test_train_on_dataset_disagreeing_with_its_grid_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
+        train = out / "train.wds"
+        ds = load_dataset(train)
+        ds.samples[0] = dataclasses.replace(ds.samples[0], u=ds.samples[0].u[:3])
+        save_dataset(train, ds)
+        assert main(["train", "--config", TINY, "--out", str(out)]) == 2
+        assert "train.wds: sample 0 u at byte 128 has shape (3, 8, 8)" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -190,6 +190,10 @@ class TestBatchNorm:
         rng = np.random.default_rng(19)
         check_layer_gradients(BatchNorm(2), rng.standard_normal((4, 2, 3, 3)))
 
+    def test_gradients_volume_shape(self):
+        rng = np.random.default_rng(24)
+        check_layer_gradients(BatchNorm(3), rng.standard_normal((4, 3, 2, 3, 3)))
+
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
             BatchNorm(3).forward(np.zeros((4, 2)))

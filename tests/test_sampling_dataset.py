@@ -1,5 +1,9 @@
 """LHS sampling, scaling, dataset generation and the binary format."""
 
+import dataclasses
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -227,4 +231,21 @@ class TestDataset:
         with open(path, "ab") as fh:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError, match=rf"padded\.wds: 8 trailing bytes at byte {size}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("index, field, cut", [(0, "u", 3), (1, "boundary_v", 5)])
+    def test_sample_shape_disagreeing_with_grid_rejected(self, tmp_path, index, field, cut):
+        # a well-formed file whose sample arrays contradict its grid block
+        grid = make_grid(nx=32, ny=32, zoom_nx=16, zoom_ny=16, nt=8)
+        ds = generate_dataset(grid, 2, seed=20)
+        good = ds.samples[index]
+        bad = ds.samples[index] = dataclasses.replace(good, **{field: getattr(good, field)[:cut]})
+        path = tmp_path / "bad.wds"
+        save_dataset(path, ds)
+        # header, grid block, sample count, then sample 0's parameters
+        first_u = 8 + struct.calcsize("<4d7Q") + 8 + 24
+        offset = str(first_u) if (index, field) == (0, "u") else r"\d+"
+        shape = re.escape(str(getattr(bad, field).shape))
+        message = rf"bad\.wds: sample {index} {field} at byte {offset} has shape {shape}"
+        with pytest.raises(ValueError, match=message):
             load_dataset(path)

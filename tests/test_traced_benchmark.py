@@ -4,7 +4,9 @@
 ``backward`` and costs each convolution from the shape it is called
 with.  The file is loaded by path, unchanged, so a change to the layers
 that breaks ``benchmarks/run.py --trace 1`` fails here first, on the
-full-kernel path (Conv3D) and on the separable one (Conv2.5Db).
+full-kernel path (Conv3D), on the separable one (Conv2.5Db) and on a
+batch-normalized separable model (Conv2.5D[BN], as in the desk-sep
+workload).
 """
 
 import importlib.util
@@ -26,14 +28,17 @@ def _load_tracing(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("variant, kind", [("Conv3D", "conv"), ("Conv2.5Db", "sepconv")],
-                         ids=["Conv3D", "Conv2.5Db"])
-def test_traced_training_epoch_on_a_linked_model(monkeypatch, variant, kind):
+@pytest.mark.parametrize(
+    "variant, regularization, kind",
+    [("Conv3D", (), "conv"), ("Conv2.5Db", (), "sepconv"), ("Conv2.5D", ("BN",), "sepconv")],
+    ids=["Conv3D", "Conv2.5Db", "Conv2.5D[BN]"],
+)
+def test_traced_training_epoch_on_a_linked_model(monkeypatch, variant, regularization, kind):
     tracing = _load_tracing(monkeypatch)
     cfg = harness.ExperimentConfig.from_file(ROOT / "configs" / "tiny.cfg")
     grid = cfg.grid()
     dataset = wave.generate_dataset(grid, 2, seed=cfg.seed, bounds=cfg.bounds())
-    spec = harness.VariantSpec(variant)
+    spec = harness.VariantSpec(variant, regularization)
     model = harness.build_model(spec, grid, cfg.zoo_widths, seed=cfg.seed)
     assert any(isinstance(layer, Upsample) and layer.linked for layer in model.all_layers())
 
@@ -47,4 +52,6 @@ def test_traced_training_epoch_on_a_linked_model(monkeypatch, variant, kind):
     assert len(result.history) == 1
     names = {span[0] for span in tracer.spans}
     assert {f"nn.{kind}.fwd", f"nn.{kind}.bwd", "nn.upsample.fwd", "nn.upsample.bwd"} <= names
+    if regularization:
+        assert {"nn.batchnorm.fwd", "nn.batchnorm.bwd"} <= names
     assert tracer.counts[f"nn.{kind}.flop"] > 0 and tracer.counts[f"nn.{kind}.bytes"] > 0
