@@ -36,7 +36,7 @@ from .training import (
     prepare_targets,
     train,
 )
-from .variants import VariantSpec, format_regularization, parse_regularization
+from .variants import format_regularization
 from .zoo import build_model
 
 HISTORY_HEADER = "epoch,loss,mse_u,mse_v,euler,lr"
@@ -77,12 +77,14 @@ def _dataset_paths(cfg):
     return out / "train.wds", out / "test.wds"
 
 
-def _load_datasets(cfg):
-    train_path, test_path = _dataset_paths(cfg)
-    for p in (train_path, test_path):
+def _load_data(cfg):
+    """The train and test sets, and the field and parameter scalers fit on the train set."""
+    paths = _dataset_paths(cfg)
+    for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"{p} not found; run `generate` first")
-    return load_dataset(train_path), load_dataset(test_path)
+    train_ds, test_ds = (load_dataset(p) for p in paths)
+    return train_ds, test_ds, Scaler().fit(train_ds), ParamScaler().fit(train_ds.param_matrix())
 
 
 def cmd_generate(cfg) -> None:
@@ -106,7 +108,7 @@ def _history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _train_cell(cfg, spec, train_ds, test_ds, scaler, pscaler) -> Path:
+def _train_cell(cfg, spec, train_ds, scaler, pscaler) -> Path:
     cell_dir = Path(cfg.outdir) / spec.cell_key()
     cell_dir.mkdir(parents=True, exist_ok=True)
     model = build_model(spec, train_ds.grid, cfg.zoo_widths, seed=cfg.seed)
@@ -131,28 +133,15 @@ def _train_cell(cfg, spec, train_ds, test_ds, scaler, pscaler) -> Path:
 
 
 def cmd_train(cfg) -> None:
-    spec = VariantSpec(cfg.variant, parse_regularization(cfg.regularization))
-    train_ds, test_ds = _load_datasets(cfg)
-    scaler = Scaler().fit(train_ds)
-    pscaler = ParamScaler().fit(train_ds.param_matrix())
-    _train_cell(cfg, spec, train_ds, test_ds, scaler, pscaler)
-
-
-def _sweep_specs(cfg):
-    return [
-        VariantSpec(name, parse_regularization(reg))
-        for name in cfg.sweep_variants
-        for reg in cfg.sweep_regularizations
-    ]
+    train_ds, _, scaler, pscaler = _load_data(cfg)
+    _train_cell(cfg, cfg.cell(), train_ds, scaler, pscaler)
 
 
 def cmd_sweep(cfg) -> None:
-    specs = _sweep_specs(cfg)
-    train_ds, test_ds = _load_datasets(cfg)
-    scaler = Scaler().fit(train_ds)
-    pscaler = ParamScaler().fit(train_ds.param_matrix())
+    specs = cfg.sweep_cells()
+    train_ds, test_ds, scaler, pscaler = _load_data(cfg)
     for spec in specs:
-        _train_cell(cfg, spec, train_ds, test_ds, scaler, pscaler)
+        _train_cell(cfg, spec, train_ds, scaler, pscaler)
     cells = _evaluate_cells(cfg, specs, train_ds, test_ds, scaler, pscaler)
     paths = emit_tables(cells, cfg.threshold, cfg.outdir)
     print(f"wrote {paths['csv']} and {paths['text']}")
@@ -191,10 +180,9 @@ def _evaluate_cells(cfg, specs, train_ds, test_ds, scaler, pscaler, require_all=
         add("params", float(count_params(model).decomposed_count))
         for split, ds in (("train", train_ds), ("test", test_ds)):
             preds = predict_fields(model, spec, ds, scaler, pscaler)
-            ref_u = ds.stack("boundary_u") if spec.boundary else ds.stack("u")
-            ref_v = ds.stack("boundary_v") if spec.boundary else ds.stack("v")
-            add(f"{split}_eps_u", error_indicator(preds["u"], ref_u).scalar)
-            add(f"{split}_eps_v", error_indicator(preds["v"], ref_v).scalar)
+            for head in ("u", "v"):
+                ref = ds.stack(spec.reference_field(head))
+                add(f"{split}_eps_{head}", error_indicator(preds[head], ref).scalar)
             zoom = zoom_evaluate(spec, preds, ds)
             add(f"{split}_zoom_eps_u", zoom.eps_u.scalar)
             add(f"{split}_zoom_eps_v", zoom.eps_v.scalar)
@@ -205,39 +193,29 @@ def _evaluate_cells(cfg, specs, train_ds, test_ds, scaler, pscaler, require_all=
 
 
 def cmd_evaluate(cfg) -> None:
-    specs = _sweep_specs(cfg)
-    training_cell = VariantSpec(cfg.variant, parse_regularization(cfg.regularization))
-    if training_cell not in specs:
-        specs = specs + [training_cell]
-    train_ds, test_ds = _load_datasets(cfg)
-    scaler = Scaler().fit(train_ds)
-    pscaler = ParamScaler().fit(train_ds.param_matrix())
-    cells = _evaluate_cells(cfg, specs, train_ds, test_ds, scaler, pscaler, require_all=False)
+    specs = cfg.sweep_cells()
+    if cfg.cell() not in specs:
+        specs.append(cfg.cell())
+    cells = _evaluate_cells(cfg, specs, *_load_data(cfg), require_all=False)
     paths = emit_tables(cells, cfg.threshold, cfg.outdir)
     print(f"wrote {paths['csv']} and {paths['text']}")
 
 
 def cmd_compress(cfg) -> None:
-    if cfg.compress_cell:
-        name, _, reg = cfg.compress_cell.partition(":")
-        spec = VariantSpec(name.strip(), parse_regularization(reg or "Basic"))
-    else:
-        spec = VariantSpec(cfg.variant, parse_regularization(cfg.regularization))
-    train_ds, test_ds = _load_datasets(cfg)
-    scaler = Scaler().fit(train_ds)
-    pscaler = ParamScaler().fit(train_ds.param_matrix())
-    grid = train_ds.grid
+    spec = cfg.compress_spec()
+    train_ds, test_ds, scaler, pscaler = _load_data(cfg)
     cell_dir = Path(cfg.outdir) / spec.cell_key()
     ckpt = cell_dir / "checkpoint.scnn"
     if not ckpt.exists():
         raise FileNotFoundError(f"{ckpt} not found; train the cell first")
-    model = build_model(spec, grid, cfg.zoo_widths, seed=cfg.seed)
+    model = build_model(spec, train_ds.grid, cfg.zoo_widths, seed=cfg.seed)
     load_model(ckpt, model)
 
-    before = error_indicator(
-        predict_fields(model, spec, test_ds, scaler, pscaler)["u"],
-        test_ds.stack("boundary_u") if spec.boundary else test_ds.stack("u"),
-    ).scalar
+    def test_eps():
+        pred = predict_fields(model, spec, test_ds, scaler, pscaler)["u"]
+        return error_indicator(pred, test_ds.stack(spec.reference_field("u"))).scalar
+
+    before = test_eps()
 
     r = cfg.compress_rank
     lines = ["layer,filter,residual,kernel_norm"]
@@ -254,10 +232,7 @@ def cmd_compress(cfg) -> None:
             res = residual_norm(k, decomp)
             lines.append(f"{idx},{j},{res!r},{float(np.sqrt(np.sum(k * k)))!r}")
             layer.kernel.value[j] = reconstruct(decomp)
-    after = error_indicator(
-        predict_fields(model, spec, test_ds, scaler, pscaler)["u"],
-        test_ds.stack("boundary_u") if spec.boundary else test_ds.stack("u"),
-    ).scalar
+    after = test_eps()
 
     lines.append(f"eps_before,,{before!r},")
     lines.append(f"eps_after,,{after!r},")

@@ -1,15 +1,18 @@
 """Experiment configuration: plain-text ``key = value`` files.
 
 Grammar: ``[section]`` headers, one ``key = value`` per line, ``#``
-starts a comment, blank lines ignored.  Unknown sections or keys are
-rejected so typos fail loudly.  A parsed configuration can be serialized
-back to a canonical snapshot that parses to the same experiment.
+starts a comment, blank lines ignored.  Each field of
+:class:`ExperimentConfig` declares its ``[section] key`` once; the type
+of its default reads and writes the value.  Unknown sections or keys are
+rejected so typos fail loudly (``[zoo]`` keys by ``resolve_widths``).  A
+parsed configuration can be serialized back to a canonical snapshot that
+parses to the same experiment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..wave import GridSpec, make_grid
@@ -17,8 +20,6 @@ from .variants import VariantSpec, parse_regularization
 from .zoo import resolve_widths
 
 __all__ = ["parse_config_text", "ExperimentConfig"]
-
-_KNOWN_SECTIONS = ("grid", "sampling", "training", "sweep", "evaluation", "zoo", "io", "compress")
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
@@ -30,7 +31,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _KNOWN_SECTIONS:
+            if current not in _SECTIONS:
                 raise ValueError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
@@ -45,104 +46,79 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _get(sections, section, key, default, cast):
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        if cast is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"[{section}] {key} = {raw!r}: cannot parse as {cast.__name__}") from exc
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+# how a value is read and written, by the type of its field's default
+_CODECS = {
+    int: (int, str),
+    float: (float, repr),
+    bool: (lambda raw: _BOOLS[raw.lower()], lambda value: str(value).lower()),
+    str: (str, str),
+    tuple: (lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()), ", ".join),
+}
+
+
+def _key(section: str, default, key: str | None = None, snapshot: bool = True):
+    """A field read from ``[section] key``; the key defaults to the field name.
+
+    ``snapshot=False`` leaves it out of :meth:`ExperimentConfig.to_text`.
+    """
+    return field(default=default, metadata={"section": section, "key": key, "snapshot": snapshot})
 
 
 @dataclass
 class ExperimentConfig:
-    # grid
-    nx: int = 64
-    ny: int = 64
-    zoom_nx: int = 16
-    zoom_ny: int = 16
-    nt: int = 64
-    lx: float = 1.0
-    ly: float = 1.0
-    c: float = 1.0
-    cfl_margin: float = 0.9
-    # sampling
-    train_samples: int = 100
-    test_samples: int = 25
-    omega_min: float = math.pi
-    omega_max: float = 4.0 * math.pi
+    nx: int = _key("grid", 64)
+    ny: int = _key("grid", 64)
+    zoom_nx: int = _key("grid", 16)
+    zoom_ny: int = _key("grid", 16)
+    nt: int = _key("grid", 64)
+    lx: float = _key("grid", 1.0)
+    ly: float = _key("grid", 1.0)
+    c: float = _key("grid", 1.0)
+    cfl_margin: float = _key("grid", 0.9)
+    train_samples: int = _key("sampling", 100)
+    test_samples: int = _key("sampling", 25)
+    omega_min: float = _key("sampling", math.pi)
+    omega_max: float = _key("sampling", 4.0 * math.pi)
     # source box half-extents; 0 means the full domain
-    source_half_x: float = 0.0
-    source_half_y: float = 0.0
-    # training
-    variant: str = "Conv2.5D"
-    regularization: str = "BN"
-    epochs: int = 1000
-    lr0: float = 1e-3
-    lr_final: float = 1e-4
-    decay: bool = False
-    batch_size: int = 0
-    lambda_euler: float = 0.1
-    seed: int = 0
-    # sweep
-    sweep_variants: tuple[str, ...] = ("Conv2D", "Conv3D", "Conv2.5D", "Conv2.5Db")
-    sweep_regularizations: tuple[str, ...] = ("Basic", "BN")
-    # evaluation
-    threshold: float = 0.5
-    # compress
-    compress_rank: int = 1
-    compress_cell: str = ""
-    # io
-    outdir: str = "out"
+    source_half_x: float = _key("sampling", 0.0)
+    source_half_y: float = _key("sampling", 0.0)
+    variant: str = _key("training", "Conv2.5D")
+    regularization: str = _key("training", "BN")
+    epochs: int = _key("training", 1000)
+    lr0: float = _key("training", 1e-3)
+    lr_final: float = _key("training", 1e-4)
+    decay: bool = _key("training", False)
+    batch_size: int = _key("training", 0)
+    lambda_euler: float = _key("training", 0.1)
+    seed: int = _key("training", 0)
+    sweep_variants: tuple[str, ...] = _key(
+        "sweep", ("Conv2D", "Conv3D", "Conv2.5D", "Conv2.5Db"), key="variants")
+    sweep_regularizations: tuple[str, ...] = _key("sweep", ("Basic", "BN"), key="regularizations")
+    threshold: float = _key("evaluation", 0.5)
+    compress_rank: int = _key("compress", 1, key="rank")
+    # "Variant:Reg"; empty means the [training] cell
+    compress_cell: str = _key("compress", "", key="cell")
+    outdir: str = _key("io", "out", snapshot=False)
     zoo_widths: dict = field(default_factory=dict)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        s = parse_config_text(text)
-        cfg = cls()
-        cfg.nx = _get(s, "grid", "nx", cfg.nx, int)
-        cfg.ny = _get(s, "grid", "ny", cfg.ny, int)
-        cfg.zoom_nx = _get(s, "grid", "zoom_nx", cfg.zoom_nx, int)
-        cfg.zoom_ny = _get(s, "grid", "zoom_ny", cfg.zoom_ny, int)
-        cfg.nt = _get(s, "grid", "nt", cfg.nt, int)
-        cfg.lx = _get(s, "grid", "lx", cfg.lx, float)
-        cfg.ly = _get(s, "grid", "ly", cfg.ly, float)
-        cfg.c = _get(s, "grid", "c", cfg.c, float)
-        cfg.cfl_margin = _get(s, "grid", "cfl_margin", cfg.cfl_margin, float)
-        cfg.train_samples = _get(s, "sampling", "train_samples", cfg.train_samples, int)
-        cfg.test_samples = _get(s, "sampling", "test_samples", cfg.test_samples, int)
-        cfg.omega_min = _get(s, "sampling", "omega_min", cfg.omega_min, float)
-        cfg.omega_max = _get(s, "sampling", "omega_max", cfg.omega_max, float)
-        cfg.source_half_x = _get(s, "sampling", "source_half_x", cfg.source_half_x, float)
-        cfg.source_half_y = _get(s, "sampling", "source_half_y", cfg.source_half_y, float)
-        cfg.variant = _get(s, "training", "variant", cfg.variant, str)
-        cfg.regularization = _get(s, "training", "regularization", cfg.regularization, str)
-        cfg.epochs = _get(s, "training", "epochs", cfg.epochs, int)
-        cfg.lr0 = _get(s, "training", "lr0", cfg.lr0, float)
-        cfg.lr_final = _get(s, "training", "lr_final", cfg.lr_final, float)
-        cfg.decay = _get(s, "training", "decay", cfg.decay, bool)
-        cfg.batch_size = _get(s, "training", "batch_size", cfg.batch_size, int)
-        cfg.lambda_euler = _get(s, "training", "lambda_euler", cfg.lambda_euler, float)
-        cfg.seed = _get(s, "training", "seed", cfg.seed, int)
-        variants = _get(s, "sweep", "variants", None, str)
-        if variants is not None:
-            cfg.sweep_variants = tuple(v.strip() for v in variants.split(",") if v.strip())
-        regs = _get(s, "sweep", "regularizations", None, str)
-        if regs is not None:
-            cfg.sweep_regularizations = tuple(r.strip() for r in regs.split(",") if r.strip())
-        cfg.threshold = _get(s, "evaluation", "threshold", cfg.threshold, float)
-        cfg.compress_rank = _get(s, "compress", "rank", cfg.compress_rank, int)
-        cfg.compress_cell = _get(s, "compress", "cell", cfg.compress_cell, str)
-        cfg.outdir = _get(s, "io", "outdir", cfg.outdir, str)
-        cfg.zoo_widths = {k: int(v) for k, v in s.get("zoo", {}).items()}
+        sections = parse_config_text(text)
+        cfg = cls(zoo_widths={k: int(v) for k, v in sections.pop("zoo", {}).items()})
+        for section, entries in sections.items():
+            for key, raw in entries.items():
+                f = _SCHEMA.get((section, key))
+                if f is None:
+                    raise ValueError(f"unknown key [{section}] {key}")
+                kind = type(f.default)
+                try:
+                    setattr(cfg, f.name, _CODECS[kind][0](raw))
+                except (KeyError, ValueError) as exc:
+                    raise ValueError(
+                        f"[{section}] {key} = {raw!r}: cannot parse as {kind.__name__}"
+                    ) from exc
         cfg.validate()
         return cfg
 
@@ -153,16 +129,36 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.grid()  # grid invariants (CFL, window) checked at construction
         resolve_widths(self.zoo_widths)
-        VariantSpec(self.variant, parse_regularization(self.regularization))
-        for name in self.sweep_variants:
-            for reg in self.sweep_regularizations:
-                VariantSpec(name, parse_regularization(reg))
+        self.cell()
+        self.sweep_cells()
+        self.compress_spec()
         if self.train_samples < 1 or self.test_samples < 1:
             raise ValueError("need at least one train and one test sample")
         if not self.omega_min < self.omega_max:
             raise ValueError("omega bounds must satisfy omega_min < omega_max")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.compress_rank < 1:
+            raise ValueError("[compress] rank must be >= 1")
+
+    def cell(self) -> VariantSpec:
+        """The ``[training]`` cell."""
+        return VariantSpec(self.variant, parse_regularization(self.regularization))
+
+    def sweep_cells(self) -> list[VariantSpec]:
+        """Every ``[sweep]`` variant with every regularization, variant-major."""
+        return [
+            VariantSpec(name, parse_regularization(reg))
+            for name in self.sweep_variants
+            for reg in self.sweep_regularizations
+        ]
+
+    def compress_spec(self) -> VariantSpec:
+        """The ``[compress]`` cell, ``Variant`` or ``Variant:Reg``; if unset, :meth:`cell`."""
+        if not self.compress_cell:
+            return self.cell()
+        name, _, reg = self.compress_cell.partition(":")
+        return VariantSpec(name.strip(), parse_regularization(reg))
 
     def grid(self) -> GridSpec:
         return make_grid(
@@ -176,50 +172,26 @@ class ExperimentConfig:
         return [(self.omega_min, self.omega_max), (-hx, hx), (-hy, hy)]
 
     def to_text(self) -> str:
-        """Canonical experiment snapshot.
+        """Canonical experiment snapshot: every key in field order, then ``[zoo]`` sorted.
 
-        Captures everything that defines the run's results; the output
-        directory is invocation-specific and deliberately left out, so
-        snapshots of identical experiments are byte-identical.
+        The output directory is invocation-specific and deliberately left
+        out, so snapshots of identical experiments are byte-identical.
         """
-        lines = [
-            "[grid]",
-            f"nx = {self.nx}", f"ny = {self.ny}",
-            f"zoom_nx = {self.zoom_nx}", f"zoom_ny = {self.zoom_ny}",
-            f"nt = {self.nt}",
-            f"lx = {self.lx!r}", f"ly = {self.ly!r}",
-            f"c = {self.c!r}", f"cfl_margin = {self.cfl_margin!r}",
-            "",
-            "[sampling]",
-            f"train_samples = {self.train_samples}",
-            f"test_samples = {self.test_samples}",
-            f"omega_min = {self.omega_min!r}",
-            f"omega_max = {self.omega_max!r}",
-            f"source_half_x = {self.source_half_x!r}",
-            f"source_half_y = {self.source_half_y!r}",
-            "",
-            "[training]",
-            f"variant = {self.variant}",
-            f"regularization = {self.regularization}",
-            f"epochs = {self.epochs}",
-            f"lr0 = {self.lr0!r}", f"lr_final = {self.lr_final!r}",
-            f"decay = {str(self.decay).lower()}",
-            f"batch_size = {self.batch_size}",
-            f"lambda_euler = {self.lambda_euler!r}",
-            f"seed = {self.seed}",
-            "",
-            "[sweep]",
-            f"variants = {', '.join(self.sweep_variants)}",
-            f"regularizations = {', '.join(self.sweep_regularizations)}",
-            "",
-            "[evaluation]",
-            f"threshold = {self.threshold!r}",
-            "",
-            "[compress]",
-            f"rank = {self.compress_rank}",
-            f"cell = {self.compress_cell}",
-        ]
+        lines = []
+        for (section, key), f in _SCHEMA.items():
+            if f.metadata["snapshot"]:
+                if f"[{section}]" not in lines:
+                    lines += ["", f"[{section}]"]
+                lines.append(f"{key} = {_CODECS[type(f.default)][1](getattr(self, f.name))}")
         if self.zoo_widths:
-            lines += ["", "[zoo]"]
-            lines += [f"{k} = {v}" for k, v in sorted(self.zoo_widths.items())]
-        return "\n".join(lines) + "\n"
+            lines += ["", "[zoo]"] + [f"{k} = {v}" for k, v in sorted(self.zoo_widths.items())]
+        return "\n".join(lines[1:]) + "\n"
+
+
+# every field but the width table, by its [section] key
+_SCHEMA = {
+    (f.metadata["section"], f.metadata["key"] or f.name): f
+    for f in fields(ExperimentConfig)
+    if f.name != "zoo_widths"
+}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _SCHEMA)) + ("zoo",)

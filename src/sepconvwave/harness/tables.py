@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..records import atomic_write
 from .variants import REGULARIZATION_COLUMNS
 
 __all__ = [
@@ -108,7 +109,8 @@ def emit_tables(cells: list[ResultCell], threshold: float, outdir) -> dict[str, 
     """Write one classified CSV plus an aligned text table per metric.
 
     Classification is recomputed from values, so re-emission of parsed
-    results is idempotent.
+    results is idempotent.  Each file is replaced atomically: a write
+    that fails midway leaves the previous file as it was.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -122,11 +124,8 @@ def emit_tables(cells: list[ResultCell], threshold: float, outdir) -> dict[str, 
         table = classify_table([c for c in cells if c.metric == metric], threshold)
         classified.extend(table)
         texts.append(format_text_table(metric, table))
-    paths = {}
-    csv_path = outdir / "results.csv"
-    csv_path.write_text(results_to_csv(classified))
-    paths["csv"] = csv_path
-    txt_path = outdir / "tables.txt"
-    txt_path.write_text("\n".join(texts))
-    paths["text"] = txt_path
+    paths = {"csv": outdir / "results.csv", "text": outdir / "tables.txt"}
+    for key, body in (("csv", results_to_csv(classified)), ("text", "\n".join(texts))):
+        with atomic_write(paths[key]) as fh:
+            fh.write(body.encode())
     return paths

@@ -113,17 +113,12 @@ def prepare_targets(spec: VariantSpec, dataset: WaveDataset, scaler: Scaler) -> 
     Boundary traces are displacement/velocity values on the ring, so
     they share the field scalers.
     """
-    if spec.boundary:
-        u = scaler.transform(dataset.stack("boundary_u"), "u")
-        v = scaler.transform(dataset.stack("boundary_v"), "v")
-    else:
-        u = scaler.transform(dataset.stack("u"), "u")
-        v = scaler.transform(dataset.stack("v"), "v")
-    if spec.time_conditioned:
+    targets = {}
+    for head in ("u", "v"):
+        t = scaler.transform(dataset.stack(spec.reference_field(head)), head)
         # [n_p, n_t, ...] -> one slice per row, sample-major
-        u = u.reshape((-1,) + u.shape[2:])
-        v = v.reshape((-1,) + v.shape[2:])
-    return {"u": u, "v": v}
+        targets[head] = t.reshape((-1,) + t.shape[2:]) if spec.time_conditioned else t
+    return targets
 
 
 def _euler_terms(out_u, out_v, espec: EulerSpec, weight: float):

@@ -104,6 +104,10 @@ class VariantSpec:
     def input_dim(self) -> int:
         return 4 if self.time_conditioned else 3
 
+    def reference_field(self, head: str) -> str:
+        """The dataset field head ``u`` or ``v`` predicts: the ring trace for boundary variants."""
+        return f"boundary_{head}" if self.boundary else head
+
     def label(self) -> str:
         return f"{self.name}[{format_regularization(self.regularization)}]"
 

@@ -59,4 +59,8 @@ def save_model(path, model) -> None:
 
 
 def load_model(path, model) -> None:
-    model.load_state_dict(load_tensors(path))
+    tensors = load_tensors(path)
+    try:
+        model.load_state_dict(tensors)
+    except ValueError as exc:  # e.g. a file cut at a record boundary: too few tensors
+        raise ValueError(f"{path}: {exc}") from None

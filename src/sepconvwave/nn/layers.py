@@ -4,8 +4,9 @@ Every layer consumes a batch-first float64 array.  A training-mode
 forward (``training=True``) stores what the layer's backward pass needs,
 and that backward takes the cache and clears it, so activations live
 only from a training forward to its backward: an eval-mode forward
-stores nothing, and a backward without a training forward before it
-raises ``RuntimeError``.  A backward may return a read-only view, so no
+stores nothing, and frees each separable stage's input once that stage
+is done.  A backward without a training forward before it raises
+``RuntimeError``.  A backward may return a read-only view, so no
 layer writes to the gradient it receives.
 
 Convolutions follow the channel-summed contract: one kernel per output
@@ -488,13 +489,14 @@ class SeparableConv(Layer):
             z = np.moveaxis(z, [offset + a for a in group], range(z.ndim - len(group), z.ndim))
             # stage 0 reads the input every filter shares; later stages are depthwise
             z, plan = (_banded if s else _polyphase)(z, ker.value, tuple(factors[a] for a in group))
-            plans.append(plan)
+            if training:
+                plans.append(plan)
+            del plan  # an eval forward frees each stage's input once the stage is done
             z = np.moveaxis(z, range(z.ndim - len(group), z.ndim), [2 + a for a in group])
-            if self.stage_activation and s < len(self.groups) - 1:
-                preacts.append(z)
+            activate = self.stage_activation and s < len(self.groups) - 1
+            preacts.append(z if activate and training else None)
+            if activate:
                 z = np.tanh(z)
-            else:
-                preacts.append(None)
         self._cache = (plans, preacts) if training else None
         # the last stage leaves its axes permuted; the output is C-ordered
         return np.add(z, self.bias.value.reshape((1, self.n_f) + (1,) * nd), order="C")

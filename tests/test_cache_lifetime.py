@@ -7,10 +7,13 @@ no training forward to consume raises.  Every zoo variant is checked with
 every legal regularization column, on the tiny config.
 """
 
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from sepconvwave.nn import layers
 
 from sepconvwave.harness import (
     REGULARIZATION_COLUMNS,
@@ -81,6 +84,43 @@ def test_caches_live_from_training_forward_to_backward(name, column):
     assert _held_arrays(model) == []
     with pytest.raises(RuntimeError):
         model.backward(_grads(out, 2))
+
+
+@pytest.mark.parametrize("name", ["Conv2.5D", "Conv2.5Db", "Conv1.5D_Boundary"])
+def test_eval_forward_frees_each_stage_input_when_the_stage_is_done(name, monkeypatch):
+    # each stage's plan holds the input the stage read; only a backward needs it
+    kept = []  # a weakref to the input each stage's plan holds
+    held = []  # at each stage's start, how many earlier inputs are still alive
+
+    def probed(step):
+        def wrapper(z, kernel, factors):
+            held.append(sum(ref() is not None for ref in kept))
+            out, plan = step(z, kernel, factors)
+            kept.append(weakref.ref(plan[0]))
+            return out, plan
+
+        return wrapper
+
+    for step in ("_polyphase", "_banded"):
+        monkeypatch.setattr(layers, step, probed(getattr(layers, step)))
+    model = _model(name, "BN")
+    x = np.random.default_rng(1).standard_normal((3,) + model.input_shape)
+
+    stages = [len(layer.groups) for layer in model.all_layers()
+              if isinstance(layer, layers.SeparableConv)]
+    assert max(stages) > 1
+
+    model.forward(x, training=False)
+    assert held == [0] * sum(stages)
+    assert all(ref() is None for ref in kept)
+
+    # a training forward keeps every stage's input for its backward
+    kept.clear()
+    held.clear()
+    out = model.forward(x, training=True)
+    assert max(held) > 0 and all(ref() is not None for ref in kept)
+    model.backward(_grads(out, 2))
+    assert all(ref() is None for ref in kept)
 
 
 def _freeze_incoming_gradients(model):

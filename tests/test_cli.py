@@ -42,6 +42,19 @@ class TestExitCodes:
             "regularization = SL", "regularization = BN&E"))
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("line", ["rank = 0", "cell = Conv9D:XX"])
+    def test_bad_compress_section_is_configuration_error(self, tmp_path, capsys, line):
+        bad = tmp_path / "compress.cfg"
+        bad.write_text(Path(TINY).read_text() + f"\n[compress]\n{line}\n")
+        assert main(["compress", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_misspelt_key_is_configuration_error(self, tmp_path, capsys):
+        bad = tmp_path / "typo.cfg"
+        bad.write_text(Path(TINY).read_text().replace("epochs = 5", "epoch = 5"))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown key [training] epoch" in capsys.readouterr().err
+
     def test_train_without_dataset_is_runtime_error(self, tmp_path):
         assert main(["train", "--config", TINY, "--out", str(tmp_path / "empty")]) == 2
 

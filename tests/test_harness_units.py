@@ -1,5 +1,10 @@
 """Variant taxonomy, result tables, config parsing, error indicator."""
 
+import dataclasses
+import re
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from sepconvwave.harness import (
     ResultCell,
     VariantSpec,
     classify_table,
+    emit_tables,
     error_indicator,
     format_text_table,
     parse_config_text,
@@ -15,6 +21,8 @@ from sepconvwave.harness import (
     zero_baseline,
 )
 from sepconvwave.harness.tables import parse_results_csv, results_to_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestVariants:
@@ -98,6 +106,33 @@ class TestTables:
         with pytest.raises(ValueError):
             parse_results_csv("not,a,results,file\n")
 
+    def test_failed_write_keeps_previous_results(self, tmp_path, monkeypatch):
+        import sepconvwave.harness.tables as tables_module
+
+        emit_tables(self.cells(), 0.5, tmp_path)
+        before = (tmp_path / "results.csv").read_bytes()
+        real = tables_module.atomic_write
+
+        class HalfThenFail:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        @contextmanager
+        def failing(path):
+            with real(path) as fh:
+                yield HalfThenFail(fh)
+
+        monkeypatch.setattr(tables_module, "atomic_write", failing)
+        changed = [dataclasses.replace(c, value=c.value + 1.0) for c in self.cells()]
+        with pytest.raises(OSError, match="disk full"):
+            emit_tables(changed, 0.5, tmp_path)
+        assert (tmp_path / "results.csv").read_bytes() == before
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["results.csv", "tables.txt"]
+
 
 class TestConfig:
     def test_parse_sections_comments(self):
@@ -125,6 +160,13 @@ variant = Conv2.5D
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("[grid]\nnx 32\n")
+
+    @pytest.mark.parametrize("name", ["desk", "sweep", "tiny"])
+    def test_snapshot_bytes_of_committed_configs(self, name):
+        # the run_config.cfg contract: every train writes exactly these bytes
+        cfg = ExperimentConfig.from_file(ROOT / "configs" / f"{name}.cfg")
+        golden = (ROOT / "tests" / "golden" / f"{name}.run_config.cfg").read_bytes()
+        assert cfg.to_text().encode() == golden
 
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
@@ -155,6 +197,43 @@ variant = Conv2.5D
     def test_bad_int_rejected(self):
         with pytest.raises(ValueError, match="cannot parse"):
             ExperimentConfig.from_text("[grid]\nnx = many\n")
+
+    @pytest.mark.parametrize("text, where", [
+        ("[training]\nlambda_eulr = 0.5\n", r"\[training\] lambda_eulr"),
+        ("[io]\nout_dir = elsewhere\n", r"\[io\] out_dir"),
+    ])
+    def test_misspelt_key_rejected(self, text, where):
+        with pytest.raises(ValueError, match="unknown key " + where):
+            ExperimentConfig.from_text(text)
+
+    def test_cells(self):
+        cfg = ExperimentConfig.from_text(
+            "[training]\nvariant = Conv3D\nregularization = E&SL\n"
+            "[sweep]\nvariants = Conv2D, FC_t\nregularizations = Basic, BN\n"
+        )
+        assert cfg.cell() == VariantSpec("Conv3D", ("E", "SL"))
+        assert cfg.compress_spec() == cfg.cell()
+        assert cfg.sweep_cells() == [
+            VariantSpec("Conv2D"), VariantSpec("Conv2D", ("BN",)),
+            VariantSpec("FC_t"), VariantSpec("FC_t", ("BN",)),
+        ]
+        cfg.compress_cell = "Conv2.5Db"
+        assert cfg.compress_spec() == VariantSpec("Conv2.5Db")
+        cfg.compress_cell = "Conv2.5Db:BN"
+        assert cfg.compress_spec() == VariantSpec("Conv2.5Db", ("BN",))
+
+    def test_readme_names_every_schema_key(self):
+        # the README's config section lists each section's keys in one bullet
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+        bullets = {}
+        for bullet in section.split("\n- ")[1:]:
+            name, _, rest = bullet.partition("]")
+            bullets[name.strip("`[")] = re.findall(r"\w+", rest.split("—")[0])
+        schema = [f for f in dataclasses.fields(ExperimentConfig) if f.name != "zoo_widths"]
+        for f in schema:
+            section, key = f.metadata["section"], f.metadata["key"] or f.name
+            assert key in bullets.get(section, ()), f"[{section}] {key}"
 
 
 class TestErrorIndicator:

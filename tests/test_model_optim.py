@@ -318,6 +318,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"padded\.scnn: truncated at byte {len(data) + 4}"):
             load_tensors(padded)
 
+    def test_every_strict_prefix_rejected_naming_the_file(self, tmp_path):
+        # a prefix cut at a record boundary is a well-formed tensor file, so
+        # the check runs through load_model, which also needs every tensor
+        model = two_head_model(seed=63, shared=False)
+        whole = tmp_path / "whole.scnn"
+        save_model(whole, model)
+        data = whole.read_bytes()
+        path = tmp_path / "prefix.scnn"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=r"prefix\.scnn: "):
+                load_model(path, two_head_model(seed=64, shared=False))
+
     @staticmethod
     def _record(name: bytes, array) -> bytes:
         array = np.asarray(array, dtype="<f8")

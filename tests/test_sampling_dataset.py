@@ -201,6 +201,17 @@ class TestDataset:
             with pytest.raises(ValueError, match=rf"cut{cut}\.wds: truncated at byte \d+"):
                 load_dataset(path)
 
+    def test_every_strict_prefix_rejected_naming_the_file(self, tmp_path):
+        grid = make_grid(nx=12, ny=12, zoom_nx=4, zoom_ny=4, nt=3)
+        whole = tmp_path / "whole.wds"
+        save_dataset(whole, generate_dataset(grid, 2, seed=21))
+        data = whole.read_bytes()
+        path = tmp_path / "prefix.wds"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=r"prefix\.wds: truncated at byte \d+"):
+                load_dataset(path)
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         import sepconvwave.wave.dataset as dataset_module
 
