@@ -10,7 +10,8 @@ files).  Shared flags: ``--config``, ``--seed``, ``--out``.  Exit codes:
 Determinism contract: ``generate`` and ``train`` write byte-identical
 primary outputs (datasets, checkpoint, history, config snapshot) for a
 fixed config and seed; wall-clock timings go to a separate
-``timing.csv`` that is excluded from that contract.
+``timing.csv`` that is excluded from that contract.  Every output file
+is replaced atomically, so a failed write leaves the previous file.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..nn.checkpoint import load_model, save_model
 from ..wave import Scaler, generate_dataset, load_dataset, save_dataset
 from .config import ExperimentConfig
 from .evaluation import error_indicator, predict_fields, zoom_evaluate
-from .tables import ResultCell, emit_tables, parse_results_csv, results_to_csv
+from .tables import ResultCell, atomic_write_text, emit_tables, parse_results_csv
 from .training import (
     ParamScaler,
     TrainSettings,
@@ -121,10 +122,10 @@ def _train_cell(cfg, spec, train_ds, scaler, pscaler) -> Path:
     euler = euler_spec_for(spec, train_ds, scaler) if spec.euler else None
     result = train(model, inputs, targets, settings, euler=euler)
     save_model(cell_dir / "checkpoint.scnn", model)
-    (cell_dir / "history.csv").write_text(_history_csv(result.history))
-    (cell_dir / "run_config.cfg").write_text(cfg.to_text())
+    atomic_write_text(cell_dir / "history.csv", _history_csv(result.history))
+    atomic_write_text(cell_dir / "run_config.cfg", cfg.to_text())
     timing = ["epoch,seconds"] + [f"{i},{s!r}" for i, s in enumerate(result.epoch_seconds)]
-    (cell_dir / "timing.csv").write_text("\n".join(timing) + "\n")
+    atomic_write_text(cell_dir / "timing.csv", "\n".join(timing) + "\n")
     if result.history:
         print(f"{spec.label()}: final loss {result.final_loss:.6f} ({cfg.epochs} epochs)")
     else:
@@ -237,7 +238,7 @@ def cmd_compress(cfg) -> None:
     lines.append(f"eps_before,,{before!r},")
     lines.append(f"eps_after,,{after!r},")
     report = cell_dir / "compress.csv"
-    report.write_text("\n".join(lines) + "\n")
+    atomic_write_text(report, "\n".join(lines) + "\n")
     if eligible == 0:
         print(f"{spec.label()}: no full 2D/3D convolution layers to compress")
     print(

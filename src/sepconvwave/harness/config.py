@@ -1,12 +1,12 @@
 """Experiment configuration: plain-text ``key = value`` files.
 
-Grammar: ``[section]`` headers, one ``key = value`` per line, ``#``
-starts a comment, blank lines ignored.  Each field of
-:class:`ExperimentConfig` declares its ``[section] key`` once; the type
-of its default reads and writes the value.  Unknown sections or keys are
-rejected so typos fail loudly (``[zoo]`` keys by ``resolve_widths``).  A
-parsed configuration can be serialized back to a canonical snapshot that
-parses to the same experiment.
+Grammar: ``[section]`` headers, one ``key = value`` per line, ``#`` starts
+a comment, blank lines ignored.  Each field of :class:`ExperimentConfig`
+declares its ``[section] key`` once; the type of its default reads and
+writes the value.  Unknown sections or keys, and a key repeated in its
+section (even under a repeated header), are rejected so typos fail loudly
+(``[zoo]`` keys by ``resolve_widths``).  A parsed configuration can be
+serialized back to a canonical snapshot that parses to the same experiment.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ValueError(f"line {lineno}: empty key")
+        if key in sections[current]:
+            raise ValueError(f"line {lineno}: repeated key [{current}] {key}")
         sections[current][key] = value
     return sections
 
@@ -56,6 +58,14 @@ _CODECS = {
     str: (str, str),
     tuple: (lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()), ", ".join),
 }
+
+
+def _parse_value(section: str, key: str, raw: str, kind: type):
+    """``raw`` read as ``kind``; a value that does not parse names its section and key."""
+    try:
+        return _CODECS[kind][0](raw)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"[{section}] {key} = {raw!r}: cannot parse as {kind.__name__}") from exc
 
 
 def _key(section: str, default, key: str | None = None, snapshot: bool = True):
@@ -106,19 +116,14 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         sections = parse_config_text(text)
-        cfg = cls(zoo_widths={k: int(v) for k, v in sections.pop("zoo", {}).items()})
+        zoo = sections.pop("zoo", {})
+        cfg = cls(zoo_widths={k: _parse_value("zoo", k, v, int) for k, v in zoo.items()})
         for section, entries in sections.items():
             for key, raw in entries.items():
                 f = _SCHEMA.get((section, key))
                 if f is None:
                     raise ValueError(f"unknown key [{section}] {key}")
-                kind = type(f.default)
-                try:
-                    setattr(cfg, f.name, _CODECS[kind][0](raw))
-                except (KeyError, ValueError) as exc:
-                    raise ValueError(
-                        f"[{section}] {key} = {raw!r}: cannot parse as {kind.__name__}"
-                    ) from exc
+                setattr(cfg, f.name, _parse_value(section, key, raw, type(f.default)))
         cfg.validate()
         return cfg
 

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _DENOM_GUARD = 1e-14
+_CHUNK_ROWS = 4096  # rows per eval forward in predict_fields
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ def predict_fields(
     dataset: WaveDataset,
     scaler: Scaler,
     param_scaler: ParamScaler,
-    chunk_rows: int = 4096,
 ) -> dict[str, np.ndarray]:
     """Physical-unit predictions, one array per head.
 
@@ -87,8 +87,8 @@ def predict_fields(
     """
     inputs = prepare_inputs(spec, dataset, param_scaler)
     chunks = []
-    for start in range(0, inputs.shape[0], chunk_rows):
-        chunks.append(model.forward(inputs[start : start + chunk_rows], training=False))
+    for start in range(0, inputs.shape[0], _CHUNK_ROWS):
+        chunks.append(model.forward(inputs[start : start + _CHUNK_ROWS], training=False))
     out = {h: np.concatenate([c[h] for c in chunks], axis=0) for h in model.head_names}
     grid = dataset.grid
     result = {}

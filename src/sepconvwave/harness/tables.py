@@ -15,6 +15,7 @@ __all__ = [
     "results_to_csv",
     "parse_results_csv",
     "emit_tables",
+    "atomic_write_text",
 ]
 
 CSV_HEADER = "variant,regularization,metric,value,class"
@@ -105,6 +106,12 @@ def format_text_table(metric: str, cells: list[ResultCell]) -> str:
     return "\n".join([header, rule] + rows) + "\n"
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text``; a write that fails midway leaves the previous file."""
+    with atomic_write(path) as fh:
+        fh.write(text.encode())
+
+
 def emit_tables(cells: list[ResultCell], threshold: float, outdir) -> dict[str, Path]:
     """Write one classified CSV plus an aligned text table per metric.
 
@@ -125,7 +132,6 @@ def emit_tables(cells: list[ResultCell], threshold: float, outdir) -> dict[str, 
         classified.extend(table)
         texts.append(format_text_table(metric, table))
     paths = {"csv": outdir / "results.csv", "text": outdir / "tables.txt"}
-    for key, body in (("csv", results_to_csv(classified)), ("text", "\n".join(texts))):
-        with atomic_write(paths[key]) as fh:
-            fh.write(body.encode())
+    atomic_write_text(paths["csv"], results_to_csv(classified))
+    atomic_write_text(paths["text"], "\n".join(texts))
     return paths

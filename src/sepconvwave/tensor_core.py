@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["SvdResult", "conv_valid", "svd_small", "frobenius_norm"]
+_SVD_MAX_DIM = 64
 
 
 class SvdResult(NamedTuple):
@@ -53,15 +54,15 @@ def frobenius_norm(t: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.asarray(t, dtype=np.float64) ** 2)))
 
 
-def svd_small(m: np.ndarray, max_dim: int = 64) -> SvdResult:
+def svd_small(m: np.ndarray) -> SvdResult:
     """Thin SVD of a small matrix (LAPACK via ``np.linalg.svd``).
 
     Raises ``ValueError`` on inputs that are not rank 2 or are larger
-    than ``max_dim`` per side.
+    than ``_SVD_MAX_DIM`` (64) per side.
     """
     if m.ndim != 2:
         raise ValueError(f"svd_small expects a rank-2 tensor, got rank {m.ndim}")
-    if max(m.shape) > max_dim:
-        raise ValueError(f"matrix {m.shape} exceeds max_dim={max_dim}")
+    if max(m.shape) > _SVD_MAX_DIM:
+        raise ValueError(f"matrix {m.shape} exceeds max_dim={_SVD_MAX_DIM}")
     u, sigma, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
     return SvdResult(sigma, u, vt.T)

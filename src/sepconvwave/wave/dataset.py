@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..records import RecordReader, atomic_write, write_array, write_header
-from .grid import GridSpec, extract_boundary, restrict
+from .grid import GridSpec, boundary_index_arrays, restrict
 from .sampling import WaveParams, lhs_sample
 from .solver import solve_wave, velocity_field
 
@@ -73,15 +73,10 @@ def default_bounds(grid: GridSpec) -> list[tuple[float, float]]:
 
 
 def make_sample(params: WaveParams, grid: GridSpec) -> Sample:
-    full_u = solve_wave(params, grid)
-    full_v = velocity_field(full_u, grid.dt)
-    return Sample(
-        params=params,
-        u=restrict(full_u, grid),
-        v=restrict(full_v, grid),
-        boundary_u=extract_boundary(full_u, grid),
-        boundary_v=extract_boundary(full_v, grid),
-    )
+    u = restrict(solve_wave(params, grid), grid)
+    v = velocity_field(u, grid.dt)
+    ii, jj = boundary_index_arrays(grid)
+    return Sample(params=params, u=u, v=v, boundary_u=u[:, ii, jj], boundary_v=v[:, ii, jj])
 
 
 def generate_dataset(

@@ -167,9 +167,6 @@ def boundary_index_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def extract_boundary(field: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Traces of a full-domain ``[nt, nx, ny]`` field on the zoom ring."""
-    zoom = restrict(field, grid)
+    """Traces of a full-domain ``[nt, nx, ny]`` or ``[nx, ny]`` field on the zoom ring."""
     ii, jj = boundary_index_arrays(grid)
-    if zoom.ndim == 2:
-        return zoom[ii, jj].copy()
-    return zoom[:, ii, jj].copy()
+    return restrict(field, grid)[..., ii, jj]

@@ -1,12 +1,14 @@
 """Explicit second-order solver for the 2D wave equation.
 
-Integrates ``(1/c^2) u_tt - lap(u) = f`` with homogeneous Dirichlet
-walls by leapfrog time stepping on the 5-point Laplacian, a Taylor first
-step consistent with zero initial velocity, and a point source
-``f = sin(omega t)`` injected at the grid node nearest the source
-coordinates, scaled by ``1/(dx dy)`` as a discrete Dirac.  The zoom
-submodel runs the same scheme on the window grid, with the ring values
-prescribed from boundary traces at every step.
+Integrates ``(1/c^2) u_tt - lap(u) = f`` by leapfrog time stepping on
+the 5-point Laplacian, with a Taylor first step consistent with zero
+initial velocity.  One stepper serves both solves: it advances the
+interior nodes and leaves each step's ring as given.  The full solve
+gives it homogeneous Dirichlet walls and a point source
+``f = sin(omega t)`` at the grid node nearest the source coordinates,
+scaled by ``1/(dx dy)`` as a discrete Dirac (a source on a wall node is
+dropped).  The zoom submodel gives it the window grid with the ring set
+from boundary traces.
 """
 
 from __future__ import annotations
@@ -32,6 +34,25 @@ def _laplacian(u: np.ndarray, dx: float, dy: float) -> np.ndarray:
     ) / dy**2
 
 
+def _leapfrog(u: np.ndarray, grid: GridSpec, source=None) -> None:
+    """Step ``u[1:]`` from ``u[0]`` in place: a Taylor start, then leapfrog.
+
+    Only interior nodes are written; each step's ring keeps the values
+    ``u`` already holds there.  ``source`` is ``((i, j), f)``: ``f[n]`` is
+    added to the right-hand side of step ``n`` at interior node ``(i, j)``.
+    """
+    dx, dy, k = grid.dx, grid.dy, (grid.c * grid.dt) ** 2
+    for n in range(grid.nt - 1):
+        rhs = _laplacian(u[n], dx, dy)
+        if source is not None:
+            (i, j), f = source
+            rhs[i - 1, j - 1] += f[n]
+        if n == 0:
+            u[1, 1:-1, 1:-1] = u[0, 1:-1, 1:-1] + 0.5 * k * rhs
+        else:
+            u[n + 1, 1:-1, 1:-1] = 2.0 * u[n, 1:-1, 1:-1] - u[n - 1, 1:-1, 1:-1] + k * rhs
+
+
 def source_node(params: WaveParams, grid: GridSpec) -> tuple[int, int]:
     """Grid node nearest the source coordinates."""
     i = int(round((params.x_s + grid.lx) / grid.dx))
@@ -47,31 +68,16 @@ def solve_wave(params: WaveParams, grid: GridSpec, u0: np.ndarray | None = None)
     zero, so the first step is the second-order Taylor start.
     """
     grid.validate()
-    dx, dy, dt, c = grid.dx, grid.dy, grid.dt, grid.c
-    si, sj = source_node(params, grid)
-    amplitude = 1.0 / (dx * dy)
-
     u = np.zeros((grid.nt, grid.nx, grid.ny))
     if u0 is not None:
         if u0.shape != (grid.nx, grid.ny):
             raise ValueError(f"u0 shape {u0.shape} != {(grid.nx, grid.ny)}")
-        u[0] = u0
-        u[0, 0, :] = u[0, -1, :] = u[0, :, 0] = u[0, :, -1] = 0.0
-
-    def forcing(step: int) -> np.ndarray:
-        f = np.zeros((grid.nx, grid.ny))
-        f[si, sj] = np.sin(params.omega * step * dt) * amplitude
-        return f
-
-    # Taylor first step with zero initial velocity
-    rhs = _laplacian(u[0], dx, dy) + forcing(0)[1:-1, 1:-1]
-    u[1, 1:-1, 1:-1] = u[0, 1:-1, 1:-1] + 0.5 * (c * dt) ** 2 * rhs
-
-    for n in range(1, grid.nt - 1):
-        rhs = _laplacian(u[n], dx, dy) + forcing(n)[1:-1, 1:-1]
-        u[n + 1, 1:-1, 1:-1] = (
-            2.0 * u[n, 1:-1, 1:-1] - u[n - 1, 1:-1, 1:-1] + (c * dt) ** 2 * rhs
-        )
+        u[0, 1:-1, 1:-1] = u0[1:-1, 1:-1]
+    si, sj = source_node(params, grid)
+    amplitude = 1.0 / (grid.dx * grid.dy)
+    f = [np.sin(params.omega * n * grid.dt) * amplitude for n in range(grid.nt - 1)]
+    on_wall = si in (0, grid.nx - 1) or sj in (0, grid.ny - 1)
+    _leapfrog(u, grid, None if on_wall else ((si, sj), f))
     return u
 
 
@@ -79,9 +85,9 @@ def submodel_solve(traces: np.ndarray, params: WaveParams, grid: GridSpec) -> np
     """Re-solve on the zoom window from prescribed boundary traces.
 
     The window problem is source-free (the source must sit outside the
-    window interior); interior nodes start at rest and the ring is set
-    from ``traces[n]`` at every step, making the scheme identical to the
-    full solve restricted to the window.
+    window interior); interior nodes start at rest and the ring holds
+    ``traces[n]`` at step ``n``, making the scheme identical to the full
+    solve restricted to the window.
     """
     grid.validate()
     znx, zny = grid.zoom_nx, grid.zoom_ny
@@ -97,20 +103,9 @@ def submodel_solve(traces: np.ndarray, params: WaveParams, grid: GridSpec) -> np
         raise ValueError("source node lies inside the zoom window interior")
 
     ii, jj = boundary_index_arrays(grid)
-    dx, dy, dt, c = grid.dx, grid.dy, grid.dt, grid.c
     u = np.zeros((grid.nt, znx, zny))
-    u[0, ii, jj] = traces[0]
-
-    u[1, 1:-1, 1:-1] = u[0, 1:-1, 1:-1] + 0.5 * (c * dt) ** 2 * _laplacian(u[0], dx, dy)
-    u[1, ii, jj] = traces[1]
-
-    for n in range(1, grid.nt - 1):
-        u[n + 1, 1:-1, 1:-1] = (
-            2.0 * u[n, 1:-1, 1:-1]
-            - u[n - 1, 1:-1, 1:-1]
-            + (c * dt) ** 2 * _laplacian(u[n], dx, dy)
-        )
-        u[n + 1, ii, jj] = traces[n + 1]
+    u[:, ii, jj] = traces
+    _leapfrog(u, grid)
     return u
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,19 @@ class TestExitCodes:
         bad.write_text(Path(TINY).read_text().replace("epochs = 5", "epoch = 5"))
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "unknown key [training] epoch" in capsys.readouterr().err
+
+    def test_unparsable_zoo_width_names_section_and_key(self, tmp_path, capsys):
+        bad = tmp_path / "zoo.cfg"
+        bad.write_text(Path(TINY).read_text().replace("conv3d.nf = 4", "conv3d.nf = many"))
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "[zoo] conv3d.nf = 'many': cannot parse as int" in capsys.readouterr().err
+
+    def test_repeated_key_is_configuration_error(self, tmp_path, capsys):
+        # an earlier [zoo] block whose value the committed block would override
+        bad = tmp_path / "repeat.cfg"
+        bad.write_text(Path(TINY).read_text().replace("[zoo]\n", "[zoo]\nconv3d.nf = many\n[zoo]\n"))
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "repeated key [zoo] conv3d.nf" in capsys.readouterr().err
 
     def test_train_without_dataset_is_runtime_error(self, tmp_path):
         assert main(["train", "--config", TINY, "--out", str(tmp_path / "empty")]) == 2
@@ -128,6 +142,30 @@ class TestTrain:
             assert (again / "Conv2p5Db_BN" / name).read_bytes() == (
                 first / "Conv2p5Db_BN" / name
             ).read_bytes(), name
+
+    def test_failed_history_write_keeps_previous_file(self, trained_run, tmp_path, monkeypatch, capsys):
+        import sepconvwave.harness.tables as tables_module
+
+        out = tmp_path / "run"
+        shutil.copytree(trained_run, out)
+        cell = out / "FC_t_SL"
+        before = (cell / "history.csv").read_bytes()
+        real = tables_module.atomic_write
+
+        @contextmanager
+        def failing(path):
+            with real(path) as fh:
+                if Path(path).name == "history.csv":
+                    fh.write(before[: len(before) // 2])
+                    raise OSError("disk full")
+                yield fh
+
+        monkeypatch.setattr(tables_module, "atomic_write", failing)
+        # another seed: the history it would write differs from the one on disk
+        assert main(["train", "--config", TINY, "--seed", "1", "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert (cell / "history.csv").read_bytes() == before
+        assert not [q.name for q in cell.iterdir() if q.name.endswith(".tmp")]
 
     def test_history_header(self, trained_run):
         text = (trained_run / "FC_t_SL" / "history.csv").read_text().splitlines()

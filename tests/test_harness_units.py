@@ -161,6 +161,20 @@ variant = Conv2.5D
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("[grid]\nnx 32\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[grid]\nnx = 32\nny = 32\nnx = 48\n", r"line 4: repeated key \[grid\] nx"),
+        ("[zoo]\nconv3d.nf = 4\n[grid]\nnx = 32\n[zoo]\nconv3d.nf = 8\n",
+         r"line 6: repeated key \[zoo\] conv3d\.nf"),
+    ])
+    def test_repeated_key_rejected(self, text, message):
+        # the later value would silently win; across a repeated header too
+        with pytest.raises(ValueError, match=message):
+            parse_config_text(text)
+
+    def test_same_key_in_two_sections_allowed(self):
+        sections = parse_config_text("[grid]\nnx = 32\n[sampling]\nnx = 1\n")
+        assert sections["grid"]["nx"] == "32"
+
     @pytest.mark.parametrize("name", ["desk", "sweep", "tiny"])
     def test_snapshot_bytes_of_committed_configs(self, name):
         # the run_config.cfg contract: every train writes exactly these bytes

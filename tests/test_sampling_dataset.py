@@ -1,12 +1,15 @@
 """LHS sampling, scaling, dataset generation and the binary format."""
 
 import dataclasses
+import hashlib
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sepconvwave.harness import ExperimentConfig
 from sepconvwave.wave import (
     Scaler,
     WaveParams,
@@ -18,6 +21,7 @@ from sepconvwave.wave import (
     restrict,
     save_dataset,
     solve_wave,
+    submodel_solve,
     velocity_field,
 )
 
@@ -260,3 +264,28 @@ class TestDataset:
         message = rf"bad\.wds: sample {index} {field} at byte {offset} has shape {shape}"
         with pytest.raises(ValueError, match=message):
             load_dataset(path)
+
+
+class TestGeneratorBytes:
+    """The generator's output for ``configs/tiny.cfg`` (train set, seed 0), pinned by digest.
+
+    The digests were taken from the numpy solver on a 64-bit x86 host; a
+    change to the stepping order or to the rounding of any step shows here.
+    """
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "tiny.cfg")
+        return generate_dataset(cfg.grid(), cfg.train_samples, seed=0, bounds=cfg.bounds())
+
+    def test_dataset_file_digest(self, dataset, tmp_path):
+        path = tmp_path / "train.wds"
+        save_dataset(path, dataset)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "580fa0a1f2b19bd2cc1327f08c72afe83fe5dc279adb8ade2527fa3d9aaf558d"
+
+    def test_submodel_resolve_digest(self, dataset):
+        digest = hashlib.sha256()
+        for s in dataset.samples:
+            digest.update(submodel_solve(s.boundary_u, s.params, dataset.grid).tobytes())
+        assert digest.hexdigest() == "9a7f3a88b5aba7fa098a6d2b5e109fbc50ace867978d24ba3c3a864e3b92a4ed"

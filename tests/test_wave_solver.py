@@ -44,6 +44,13 @@ class TestSolveWave:
         assert np.all(u[:, :, -1] == 0.0)
         assert np.any(u != 0.0)
 
+    def test_source_on_wall_dropped(self):
+        # the source node clamps onto the wall corner, where Dirichlet wins
+        grid = make_grid(nx=16, ny=16, zoom_nx=6, zoom_ny=6, nt=20)
+        params = WaveParams(7.0, 1.0, -1.0)
+        assert source_node(params, grid) == (grid.nx - 1, 0)
+        assert np.all(solve_wave(params, grid) == 0.0)
+
     def test_standing_mode_second_order_convergence(self):
         # nt pinned so dx and dt both halve exactly between refinements
         t_final = 0.5
