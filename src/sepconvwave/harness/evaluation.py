@@ -100,9 +100,16 @@ def predict_fields(
 
 
 def _traces_from_prediction(spec, pred_u: np.ndarray, dataset: WaveDataset) -> np.ndarray:
+    grid = dataset.grid
+    space = (grid.n_boundary,) if spec.boundary else (grid.zoom_nx, grid.zoom_ny)
+    expected = (len(dataset), grid.nt) + space
+    if pred_u.shape != expected:
+        raise ValueError(
+            f"{spec.label()}: predictions['u'] has shape {pred_u.shape}, expected {expected}"
+        )
     if spec.boundary:
         return pred_u
-    ii, jj = boundary_index_arrays(dataset.grid)
+    ii, jj = boundary_index_arrays(grid)
     return pred_u[:, :, ii, jj]
 
 
@@ -122,7 +129,8 @@ def zoom_evaluate(
     Field models contribute the ring of their predicted zoom field;
     boundary models their direct trace output.  The re-solved field is
     compared against the reference restriction, and its time derivative
-    against the reference velocity.
+    against the reference velocity.  ``predictions["u"]`` must have the
+    shape :func:`predict_fields` gives the variant, else ``ValueError``.
     """
     grid = dataset.grid
     traces = _traces_from_prediction(spec, predictions["u"], dataset)

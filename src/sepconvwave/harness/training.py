@@ -122,11 +122,15 @@ def prepare_targets(spec: VariantSpec, dataset: WaveDataset, scaler: Scaler) -> 
 
 
 def _euler_terms(out_u, out_v, espec: EulerSpec, weight: float):
-    """Loss value and output gradients of the weighted time residual."""
+    """Loss value and output gradients of the weighted time residual.
+
+    Slice-wise rows come sample-major, ``espec.group[1]`` per sample, and
+    are regrouped into one time series per sample.
+    """
     if espec.group is not None:
-        n_p, n_t = espec.group
-        u = out_u.reshape((n_p, n_t) + out_u.shape[1:])
-        v = out_v.reshape((n_p, n_t) + out_v.shape[1:])
+        n_t = espec.group[1]
+        u = out_u.reshape((-1, n_t) + out_u.shape[1:])
+        v = out_v.reshape((-1, n_t) + out_v.shape[1:])
     else:
         u, v = out_u, out_v
     ut = espec.u_scale * u
@@ -166,11 +170,10 @@ def train(
     """
     opt = Adam(model.parameters(), lr=settings.lr0)
     rng = np.random.default_rng(settings.seed)
-    n_rows = inputs.shape[0]
     if euler is not None and euler.group is not None:
-        n_units, rows_per_unit = euler.group[0], euler.group[1]
+        n_units, rows = euler.group
     else:
-        n_units, rows_per_unit = n_rows, 1
+        n_units, rows = inputs.shape[0], 1
     batch_units = n_units if settings.batch_size <= 0 else min(settings.batch_size, n_units)
 
     result = TrainResult()
@@ -185,10 +188,7 @@ def train(
         sums.update({f"mse_{h}": 0.0 for h in targets})
         for start in range(0, n_units, batch_units):
             units = order[start : start + batch_units]
-            if rows_per_unit == 1:
-                idx = units
-            else:
-                idx = (units[:, None] * rows_per_unit + np.arange(rows_per_unit)).ravel()
+            idx = (units[:, None] * rows + np.arange(rows)).ravel()
             x = inputs[idx]
             model.zero_grad()
             out = model.forward(x, training=True)
@@ -202,9 +202,7 @@ def train(
             if euler is not None:
                 if set(out) != {"u", "v"}:
                     raise ValueError("the time residual needs both field heads")
-                egroup = None if euler.group is None else (len(units), rows_per_unit)
-                espec = EulerSpec(euler.dt, euler.u_scale, euler.v_offset, egroup)
-                e_val, gu, gv = _euler_terms(out["u"], out["v"], espec, settings.lambda_euler)
+                e_val, gu, gv = _euler_terms(out["u"], out["v"], euler, settings.lambda_euler)
                 grads["u"] = grads["u"] + gu
                 grads["v"] = grads["v"] + gv
             total = sum(losses.values()) + settings.lambda_euler * e_val

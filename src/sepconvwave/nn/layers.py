@@ -6,8 +6,16 @@ and that backward takes the cache and clears it, so activations live
 only from a training forward to its backward: an eval-mode forward
 stores nothing, and frees each separable stage's input once that stage
 is done.  A backward without a training forward before it raises
-``RuntimeError``.  A backward may return a read-only view, so no
-layer writes to the gradient it receives.
+``RuntimeError``.  ``Upsample`` keeps no state at all: its backward
+needs nothing from a forward, so it may run without one.  A backward
+may return a read-only view, so no layer writes to the gradient it
+receives.
+
+A layer's ``state()`` is its persistent tensors, the parameters and
+``BatchNorm``'s running statistics, given as the layer's own arrays.
+Layers have no load path of their own:
+:meth:`sepconvwave.nn.Model.load_state_dict` checks every name and shape
+and then writes into those arrays.
 
 Convolutions follow the channel-summed contract: one kernel per output
 channel, applied to the sum over input channels, stride 1, no padding,
@@ -123,19 +131,8 @@ class Layer:
         return []
 
     def state(self) -> dict[str, np.ndarray]:
-        """All persistent tensors (trainable or not) for checkpointing."""
+        """Every persistent tensor (trainable or not): the layer's own arrays."""
         return {name: p.value for name, p in self.parameters()}
-
-    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        own = {name: p for name, p in self.parameters()}
-        for name, array in tensors.items():
-            if name not in own:
-                raise ValueError(f"unknown state tensor {name!r} for {self.kind}")
-            if own[name].value.shape != array.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {own[name].value.shape} vs {array.shape}"
-                )
-            own[name].value[...] = array
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -563,18 +560,20 @@ class BatchNorm(Layer):
     """Per-channel batch normalization over batch and spatial axes.
 
     A training forward normalizes with the batch's statistics, updates
-    the running ones, and caches the normalized input; an eval forward
-    uses the running statistics and caches nothing.  Both work on the
-    ``[batch, channels, rest]`` view, so each per-channel statistic is
-    one reduction and the normalization runs in place on one new array.
+    the running ones in place, and caches the normalized input; an eval
+    forward uses the running statistics and caches nothing.  The running
+    statistics are state like the parameters: ``state()`` lists the
+    arrays themselves.  Both work on the ``[batch, channels, rest]``
+    view, so each per-channel statistic is one reduction and the
+    normalization runs in place on one new array.
     """
 
     kind = "batchnorm"
+    eps = 1e-5
+    momentum = 0.1
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
@@ -589,8 +588,9 @@ class BatchNorm(Layer):
             mean = np.einsum("bcs->c", x3) / n
             xhat = x3 - mean[:, None]
             var = np.einsum("bcs,bcs->c", xhat, xhat) / n
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            for running, batch in ((self.running_mean, mean), (self.running_var, var)):
+                running *= 1 - self.momentum
+                running += self.momentum * batch
         else:
             mean, var = self.running_mean, self.running_var
             xhat = x3 - mean[:, None]
@@ -628,17 +628,7 @@ class BatchNorm(Layer):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
     def state(self):
-        out = dict(super().state())
-        out["running_mean"] = self.running_mean
-        out["running_var"] = self.running_var
-        return out
-
-    def load_state(self, tensors):
-        tensors = dict(tensors)
-        for name in ("running_mean", "running_var"):
-            if name in tensors:
-                setattr(self, name, np.ascontiguousarray(tensors.pop(name)))
-        super().load_state(tensors)
+        return {**super().state(), "running_mean": self.running_mean, "running_var": self.running_var}
 
 
 class Tanh(Layer):
@@ -668,16 +658,15 @@ class Reshape(Layer):
 
     def __init__(self, out_shape):
         self.out = tuple(int(n) for n in out_shape)
-        self._in = None
 
     def forward(self, x, training=False):
         if int(np.prod(x.shape[1:])) != int(np.prod(self.out)):
             raise ValueError(f"cannot reshape per-sample {x.shape[1:]} to {self.out}")
-        self._in = x.shape
+        self._cache = x.shape if training else None
         return x.reshape((x.shape[0],) + self.out)
 
     def backward(self, grad):
-        return grad.reshape(self._in)
+        return grad.reshape(self._take_cache())
 
     def output_shape(self, in_shape):
         if int(np.prod(in_shape)) != int(np.prod(self.out)):

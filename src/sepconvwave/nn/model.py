@@ -128,6 +128,7 @@ class Model:
             p.grad[...] = 0.0
 
     def state_dict(self) -> dict[str, np.ndarray]:
+        """Every persistent tensor by its full name, as the model's own arrays."""
         return {
             f"{prefix}.{key}": array
             for prefix, layer in self._named_layers()
@@ -135,18 +136,24 @@ class Model:
         }
 
     def load_state_dict(self, tensors: dict[str, np.ndarray]) -> None:
-        own = dict(self.state_dict())
-        missing = set(own) - set(tensors)
-        extra = set(tensors) - set(own)
+        """Restore every tensor of :meth:`state_dict`, or none of them.
+
+        This is the one load path.  Every name and shape is checked first,
+        and a mismatch raises ``ValueError`` naming the full tensor name
+        (``head_u.04.batchnorm.running_mean``) with the model unchanged;
+        only then is each tensor copied into the model's own array.
+        """
+        own = self.state_dict()
+        missing, extra = own.keys() - tensors.keys(), tensors.keys() - own.keys()
         if missing or extra:
             raise ValueError(f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for prefix, layer in self._named_layers():
-            layer.load_state(
-                {
-                    key: tensors[f"{prefix}.{key}"]
-                    for key in layer.state()
-                }
-            )
+        for name, array in own.items():
+            if tensors[name].shape != array.shape:
+                raise ValueError(
+                    f"shape mismatch for {name!r}: expected {array.shape}, got {tensors[name].shape}"
+                )
+        for name, array in own.items():
+            array[...] = tensors[name]
 
     def all_layers(self) -> list[Layer]:
         return [layer for _, layer in self._named_layers()]
@@ -156,33 +163,24 @@ class Model:
 class ParamBudget:
     """Trainable-parameter counts for full versus decomposed kernels."""
 
-    per_layer_full: tuple[int, ...]
-    per_layer_decomposed: tuple[int, ...]
     full_count: int
     decomposed_count: int
 
 
 def count_params(model: Model) -> ParamBudget:
-    """Exact trainable-scalar counts per layer.
+    """Exact trainable-scalar counts.
 
     ``decomposed_count`` is what the model actually trains;
     ``full_count`` replaces every separable layer by the equivalent full
     kernel (product of extents), so the pair quantifies the compression.
     Batch-norm gains/shifts count, running statistics do not.
     """
-    per_full = []
-    per_dec = []
+    full = decomposed = 0
     for layer in model.all_layers():
         actual = sum(p.size for _, p in layer.parameters())
+        decomposed += actual
         if isinstance(layer, SeparableConv):
-            full = layer.n_f * int(np.prod(layer.extents)) + layer.bias.size
+            full += layer.n_f * int(np.prod(layer.extents)) + layer.bias.size
         else:
-            full = actual
-        per_full.append(full)
-        per_dec.append(actual)
-    return ParamBudget(
-        per_layer_full=tuple(per_full),
-        per_layer_decomposed=tuple(per_dec),
-        full_count=sum(per_full),
-        decomposed_count=sum(per_dec),
-    )
+            full += actual
+    return ParamBudget(full_count=full, decomposed_count=decomposed)

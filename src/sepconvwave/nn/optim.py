@@ -12,26 +12,16 @@ __all__ = ["Adam", "lr_schedule"]
 class Adam:
     """Adam with bias correction; per-parameter first/second moments."""
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Parameter], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad[...] = 0.0
 
     def step(self, lr: float | None = None):
         if lr is None:

@@ -117,11 +117,7 @@ def velocity_field(u: np.ndarray, dt: float) -> np.ndarray:
     """
     if u.shape[0] < 3:
         raise ValueError("velocity_field needs at least 3 time steps")
-    v = np.empty_like(u)
-    v[0] = (u[1] - u[0]) / dt
-    v[-1] = (u[-1] - u[-2]) / dt
-    v[1:-1] = (u[2:] - u[:-2]) / (2.0 * dt)
-    return v
+    return np.gradient(u, dt, axis=0, edge_order=1)
 
 
 def energy_series(u: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -199,6 +199,25 @@ class TestEvaluateCompressTables:
         metrics = {c.metric for c in cells}
         assert {"params", "train_eps_u", "test_eps_u", "test_zoom_eps_u"} <= metrics
 
+    def test_evaluate_on_a_misshapen_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        from sepconvwave.nn.checkpoint import load_tensors, save_tensors
+
+        cfg = tmp_path / "bn.cfg"
+        cfg.write_text(Path(TINY).read_text().replace("variant = FC_t", "variant = Conv2.5D")
+                       .replace("regularization = SL", "regularization = BN"))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = out / "Conv2p5D_BN" / "checkpoint.scnn"
+        tensors = load_tensors(ckpt)
+        name = "head_u.04.batchnorm.running_mean"
+        tensors[name] = tensors[name].reshape(1, -1)  # same element count
+        save_tensors(ckpt, tensors)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"checkpoint.scnn: shape mismatch for '{name}'" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_compress_reports_zero_residual_for_rank1_kernels(self, tmp_path):
         # a Conv2.5Db cell checkpoint has no full kernels; use Conv2D via
         # the sweep config's training override instead

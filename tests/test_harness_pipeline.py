@@ -194,6 +194,23 @@ class TestZoomEvaluate:
         expected = error_indicator(np.zeros_like(refs), refs).scalar
         assert abs(result.eps_u.scalar - expected) < 1e-12
 
+    @pytest.mark.parametrize(
+        "name, given, expected",
+        [
+            ("Conv2.5Db", "boundary_", (3, GRID.nt, GRID.zoom_nx, GRID.zoom_ny)),
+            ("Conv1D_Boundary", "", (3, GRID.nt, GRID.n_boundary)),
+        ],
+        ids=["traces_for_a_field_variant", "fields_for_a_boundary_variant"],
+    )
+    def test_misshapen_predictions_are_refused(self, data, name, given, expected):
+        _, test_ds, _, _ = data
+        preds = {h: test_ds.stack(given + h) for h in ("u", "v")}
+        with pytest.raises(ValueError) as info:
+            zoom_evaluate(VariantSpec(name), preds, test_ds)
+        message = str(info.value)
+        assert f"{name}[Basic]" in message
+        assert str(preds["u"].shape) in message and str(expected) in message
+
     def test_predict_fields_shapes(self, data):
         train_ds, test_ds, scaler, pscaler = data
         for name, shape in (

@@ -182,6 +182,22 @@ class TestBatchNorm:
         expected = (x - layer.running_mean) / np.sqrt(layer.running_var + layer.eps)
         assert np.allclose(out_eval, expected, atol=1e-12, rtol=0)
 
+    def test_running_statistics_update_their_own_arrays(self):
+        rng = np.random.default_rng(25)
+        layer = BatchNorm(3)
+        running = layer.state()
+        for _ in range(3):
+            old_mean, old_var = layer.running_mean.copy(), layer.running_var.copy()
+            x3 = 2.0 + rng.standard_normal((8, 3, 5))
+            layer.forward(x3, training=True)
+            mean = np.einsum("bcs->c", x3) / 40
+            xhat = x3 - mean[:, None]
+            var = np.einsum("bcs,bcs->c", xhat, xhat) / 40
+            m = layer.momentum
+            assert np.array_equal(layer.running_mean, (1 - m) * old_mean + m * mean)
+            assert np.array_equal(layer.running_var, (1 - m) * old_var + m * var)
+        assert all(layer.state()[k] is running[k] for k in running)
+
     def test_gradients_dense_shape(self):
         rng = np.random.default_rng(18)
         check_layer_gradients(BatchNorm(4), rng.standard_normal((6, 4)))
@@ -214,9 +230,23 @@ class TestShapeLayers:
         rng = np.random.default_rng(21)
         x = rng.standard_normal((2, 12))
         layer = Reshape((3, 4))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert out.shape == (2, 3, 4)
         assert np.array_equal(layer.backward(out), x)
+
+    def test_reshape_backward_needs_a_training_forward(self):
+        layer = Reshape((3, 4))
+        grad = np.zeros((2, 3, 4))
+        with pytest.raises(RuntimeError, match="reshape backward"):
+            layer.backward(grad)
+        layer.forward(np.zeros((2, 12)), training=True)
+        layer.forward(np.zeros((5, 12)))  # an eval forward keeps nothing
+        with pytest.raises(RuntimeError, match="reshape backward"):
+            layer.backward(grad)
+        layer.forward(np.zeros((2, 12)), training=True)
+        assert layer.backward(grad).shape == (2, 12)
+        with pytest.raises(RuntimeError, match="reshape backward"):
+            layer.backward(grad)  # the cache is taken once
 
     def test_upsample_repeats(self):
         x = np.array([[[1.0, 2.0]]])  # [batch=1, c=1, n=2]

@@ -1,10 +1,13 @@
 """Model composition, Adam, schedules, losses, checkpoints."""
 
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sepconvwave.harness import ExperimentConfig, VariantSpec, build_model
 from sepconvwave.nn import (
     Adam,
     BatchNorm,
@@ -362,3 +365,53 @@ class TestCheckpoint:
             save_tensors(path, {"a": rng.standard_normal(4), "b": np.array(["text"])})
         assert path.read_bytes() == before
         assert [q.name for q in tmp_path.iterdir()] == ["m.scnn"]
+
+
+TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.cfg"
+
+
+def _tiny_bn_model(seed):
+    cfg = ExperimentConfig.from_file(TINY)
+    return build_model(VariantSpec("Conv2.5D", ("BN",)), cfg.grid(), cfg.zoo_widths, seed=seed)
+
+
+def _state_bytes(model):
+    return {name: array.tobytes() for name, array in model.state_dict().items()}
+
+
+class TestCheckedLoad:
+    """A load restores every tensor of a Conv2.5D[BN] model, or changes nothing."""
+
+    @pytest.fixture(scope="class")
+    def source(self):
+        # every tensor, running statistics too, differs from a fresh model's
+        state = {k: v.copy() for k, v in _tiny_bn_model(seed=1).state_dict().items()}
+        for i, array in enumerate(state.values()):
+            array += 0.01 * (i + 1)
+        return state
+
+    def test_load_writes_every_tensor_into_the_models_own_arrays(self, tmp_path, source):
+        target = _tiny_bn_model(seed=2)
+        own = target.state_dict()
+        path = tmp_path / "good.scnn"
+        save_tensors(path, source)
+        load_model(path, target)
+        after = target.state_dict()
+        assert all(after[name] is own[name] for name in own)
+        assert _state_bytes(target) == {k: v.tobytes() for k, v in source.items()}
+
+    @pytest.mark.parametrize(
+        "misshape",
+        [lambda a: a.reshape((1,) + a.shape), lambda a: np.append(a, 0.0)],
+        ids=["same_count", "other_count"],
+    )
+    def test_any_misshapen_tensor_is_refused_and_changes_nothing(self, tmp_path, source, misshape):
+        assert "head_u.04.batchnorm.running_mean" in source
+        target = _tiny_bn_model(seed=2)
+        before = _state_bytes(target)
+        path = tmp_path / "bad.scnn"
+        for name in source:
+            save_tensors(path, {**source, name: misshape(source[name])})
+            with pytest.raises(ValueError, match=rf"bad\.scnn: shape mismatch for '{re.escape(name)}'"):
+                load_model(path, target)
+            assert _state_bytes(target) == before, name

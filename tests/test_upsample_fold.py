@@ -150,7 +150,7 @@ def test_upsample_and_reshape_are_adjoint(shape, data):
 
     reshape = Reshape((int(np.prod(shape)),))
     y = rng.standard_normal(batch + reshape.output_shape(tuple(shape)))
-    lhs, rhs = np.vdot(reshape.forward(x), y), np.vdot(x, reshape.backward(y))
+    lhs, rhs = np.vdot(reshape.forward(x, training=True), y), np.vdot(x, reshape.backward(y))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
