@@ -211,6 +211,14 @@ def cmd_compress(cfg) -> None:
         raise FileNotFoundError(f"{ckpt} not found; train the cell first")
     model = build_model(spec, train_ds.grid, cfg.zoo_widths, seed=cfg.seed)
     load_model(ckpt, model)
+    eligible = [
+        (idx, layer)
+        for idx, layer in enumerate(model.all_layers())
+        if isinstance(layer, Conv) and len(layer.extents) >= 2
+    ]
+    if not eligible:
+        print(f"{spec.label()}: no full 2D/3D convolution layers to compress")
+        return
 
     def test_eps():
         pred = predict_fields(model, spec, test_ds, scaler, pscaler)["u"]
@@ -220,11 +228,7 @@ def cmd_compress(cfg) -> None:
 
     r = cfg.compress_rank
     lines = ["layer,filter,residual,kernel_norm"]
-    eligible = 0
-    for idx, layer in enumerate(model.all_layers()):
-        if not isinstance(layer, Conv) or len(layer.extents) < 2:
-            continue
-        eligible += 1
+    for idx, layer in eligible:
         kernels = layer.kernel.value
         for j in range(kernels.shape[0]):
             k = kernels[j]
@@ -239,8 +243,6 @@ def cmd_compress(cfg) -> None:
     lines.append(f"eps_after,,{after!r},")
     report = cell_dir / "compress.csv"
     atomic_write_text(report, "\n".join(lines) + "\n")
-    if eligible == 0:
-        print(f"{spec.label()}: no full 2D/3D convolution layers to compress")
     print(
         f"{spec.label()}: rank-{r} truncation, test eps {before:.6f} -> {after:.6f}; "
         f"report at {report}"

@@ -11,7 +11,7 @@ from ..wave import (
     Scaler,
     WaveDataset,
     boundary_index_arrays,
-    submodel_solve,
+    submodel_solve_batch,
     velocity_field,
 )
 from .training import ParamScaler, prepare_inputs
@@ -127,20 +127,16 @@ def zoom_evaluate(
     """Drive the window submodel with predicted boundary traces.
 
     Field models contribute the ring of their predicted zoom field;
-    boundary models their direct trace output.  The re-solved field is
-    compared against the reference restriction, and its time derivative
-    against the reference velocity.  ``predictions["u"]`` must have the
-    shape :func:`predict_fields` gives the variant, else ``ValueError``.
+    boundary models their direct trace output.  All samples are re-solved
+    in one batch.  The re-solved field is compared against the reference
+    restriction, and its time derivative against the reference velocity.
+    ``predictions["u"]`` must have the shape :func:`predict_fields` gives
+    the variant, else ``ValueError``.
     """
     grid = dataset.grid
     traces = _traces_from_prediction(spec, predictions["u"], dataset)
-    resolved = np.stack(
-        [
-            submodel_solve(traces[k], s.params, grid)
-            for k, s in enumerate(dataset.samples)
-        ]
-    )
-    resolved_v = np.stack([velocity_field(f, grid.dt) for f in resolved])
+    resolved = submodel_solve_batch(traces, [s.params for s in dataset.samples], grid)
+    resolved_v = velocity_field(resolved, grid.dt)
     return ZoomResult(
         eps_u=error_indicator(resolved, dataset.stack("u")),
         eps_v=error_indicator(resolved_v, dataset.stack("v")),

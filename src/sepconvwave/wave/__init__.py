@@ -10,7 +10,15 @@ from .dataset import (
 )
 from .grid import GridSpec, boundary_index_arrays, extract_boundary, make_grid, restrict
 from .sampling import WaveParams, lhs_sample
-from .solver import energy_series, solve_wave, source_node, submodel_solve, velocity_field
+from .solver import (
+    energy_series,
+    solve_wave,
+    solve_zoom,
+    source_node,
+    submodel_solve,
+    submodel_solve_batch,
+    velocity_field,
+)
 
 __all__ = [
     "GridSpec",
@@ -30,7 +38,9 @@ __all__ = [
     "restrict",
     "save_dataset",
     "solve_wave",
+    "solve_zoom",
     "source_node",
     "submodel_solve",
+    "submodel_solve_batch",
     "velocity_field",
 ]

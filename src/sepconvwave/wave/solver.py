@@ -2,16 +2,22 @@
 
 Integrates ``(1/c^2) u_tt - lap(u) = f`` by leapfrog time stepping on
 the 5-point Laplacian, with a Taylor first step consistent with zero
-initial velocity.  One stepper serves both solves: it advances the
-interior nodes and leaves each step's ring as given.  The full solve
-gives it homogeneous Dirichlet walls and a point source
-``f = sin(omega t)`` at the grid node nearest the source coordinates,
-scaled by ``1/(dx dy)`` as a discrete Dirac (a source on a wall node is
-dropped).  The zoom submodel gives it the window grid with the ring set
-from boundary traces.
+initial velocity.  One batched stepper serves every solve: it advances
+the interior nodes of a block of samples ``[B, nx, ny]`` together,
+keeps only the two newest time levels, and records a window of each
+level.  The full solve gives it homogeneous Dirichlet walls and a point
+source ``f = sin(omega t)`` at the grid node nearest each sample's
+source coordinates, scaled by ``1/(dx dy)`` as a discrete Dirac (a
+source on a wall node is dropped for that sample).  The zoom submodel
+gives it the window grid with the ring set from boundary traces.  A
+single-sample call (:func:`solve_wave`, :func:`submodel_solve`) is a
+block of one.  Every elementwise operation runs in the same order for
+any block size, so a sample's result does not depend on its block.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -20,37 +26,62 @@ from .sampling import WaveParams
 
 __all__ = [
     "solve_wave",
+    "solve_zoom",
     "submodel_solve",
+    "submodel_solve_batch",
     "velocity_field",
     "energy_series",
     "source_node",
 ]
 
-
-def _laplacian(u: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """5-point Laplacian on interior nodes of a 2D array."""
-    return (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / dx**2 + (
-        u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]
-    ) / dy**2
+_INNER = (slice(None), slice(1, -1), slice(1, -1))
 
 
-def _leapfrog(u: np.ndarray, grid: GridSpec, source=None) -> None:
-    """Step ``u[1:]`` from ``u[0]`` in place: a Taylor start, then leapfrog.
+def _leapfrog(
+    u: np.ndarray, grid: GridSpec, out: np.ndarray, origin=(0, 0), ring=None, source=None
+) -> None:
+    """Step a block ``u[B, m, n]`` from step 0 at rest: a Taylor start, then leapfrog.
 
-    Only interior nodes are written; each step's ring keeps the values
-    ``u`` already holds there.  ``source`` is ``((i, j), f)``: ``f[n]`` is
-    added to the right-hand side of step ``n`` at interior node ``(i, j)``.
+    ``u`` holds step 0, ring included, and is overwritten.  Only interior
+    nodes are stepped.  ``out[:, n]`` receives the window of step ``n``
+    at ``origin``, of shape ``out.shape[2:]``.  Without ``ring`` every
+    step keeps step 0's ring; ``ring = (ii, jj, traces)`` sets step
+    ``n``'s ring nodes to ``traces[:, n]``.  ``source = (rows, i, j, f)``
+    adds ``f[:, n]`` to step ``n``'s right-hand side at interior node
+    ``(i, j)`` of each of ``rows``.
     """
-    dx, dy, k = grid.dx, grid.dy, (grid.c * grid.dt) ** 2
+    dx2, dy2, k = grid.dx**2, grid.dy**2, (grid.c * grid.dt) ** 2
+    (ox, oy), (wx, wy) = origin, out.shape[2:]
+    cur, prev = u, u.copy()
+    rhs, tmp = np.empty_like(u[_INNER]), np.empty_like(u[_INNER])
+    out[:, 0] = cur[:, ox : ox + wx, oy : oy + wy]
     for n in range(grid.nt - 1):
-        rhs = _laplacian(u[n], dx, dy)
+        # rhs = (a - 2c + b)/dx^2 + (d - 2c + e)/dy^2, each operation in this order
+        c = cur[_INNER]
+        np.multiply(c, 2.0, out=tmp)
+        np.subtract(cur[:, 2:, 1:-1], tmp, out=rhs)
+        np.add(rhs, cur[:, :-2, 1:-1], out=rhs)
+        np.divide(rhs, dx2, out=rhs)
+        np.subtract(cur[:, 1:-1, 2:], tmp, out=tmp)
+        np.add(tmp, cur[:, 1:-1, :-2], out=tmp)
+        np.divide(tmp, dy2, out=tmp)
+        np.add(rhs, tmp, out=rhs)
         if source is not None:
-            (i, j), f = source
-            rhs[i - 1, j - 1] += f[n]
-        if n == 0:
-            u[1, 1:-1, 1:-1] = u[0, 1:-1, 1:-1] + 0.5 * k * rhs
-        else:
-            u[n + 1, 1:-1, 1:-1] = 2.0 * u[n, 1:-1, 1:-1] - u[n - 1, 1:-1, 1:-1] + k * rhs
+            rows, i, j, f = source
+            rhs[rows, i - 1, j - 1] += f[:, n]
+        if n == 0:  # u_1 = u_0 + (0.5 k) rhs
+            np.multiply(rhs, 0.5 * k, out=rhs)
+            np.add(c, rhs, out=prev[_INNER])
+        else:  # u_{n+1} = (2 u_n - u_{n-1}) + k rhs, written over u_{n-1}
+            np.multiply(c, 2.0, out=tmp)
+            np.subtract(tmp, prev[_INNER], out=tmp)
+            np.multiply(rhs, k, out=rhs)
+            np.add(tmp, rhs, out=prev[_INNER])
+        cur, prev = prev, cur
+        if ring is not None:
+            ii, jj, traces = ring
+            cur[:, ii, jj] = traces[:, n + 1]
+        out[:, n + 1] = cur[:, ox : ox + wx, oy : oy + wy]
 
 
 def source_node(params: WaveParams, grid: GridSpec) -> tuple[int, int]:
@@ -60,6 +91,24 @@ def source_node(params: WaveParams, grid: GridSpec) -> tuple[int, int]:
     return min(max(i, 0), grid.nx - 1), min(max(j, 0), grid.ny - 1)
 
 
+def _full_solve(params: Sequence[WaveParams], grid: GridSpec, u: np.ndarray, out, origin) -> None:
+    """Full-domain solves of ``params`` from step 0 ``u[B, nx, ny]`` (zero ring)."""
+    grid.validate()
+    amplitude = 1.0 / (grid.dx * grid.dy)
+    rows, nodes, f = [], [], []
+    for b, p in enumerate(params):
+        si, sj = source_node(p, grid)
+        if 0 < si < grid.nx - 1 and 0 < sj < grid.ny - 1:
+            rows.append(b)
+            nodes.append((si, sj))
+            f.append([np.sin(p.omega * n * grid.dt) * amplitude for n in range(grid.nt - 1)])
+    source = None
+    if rows:
+        i, j = np.array(nodes).T
+        source = (np.array(rows), i, j, np.array(f))
+    _leapfrog(u, grid, out, origin, source=source)
+
+
 def solve_wave(params: WaveParams, grid: GridSpec, u0: np.ndarray | None = None) -> np.ndarray:
     """Full-domain space-time field ``U[nt, nx, ny]``.
 
@@ -67,57 +116,86 @@ def solve_wave(params: WaveParams, grid: GridSpec, u0: np.ndarray | None = None)
     (default zero) sets the initial displacement; initial velocity is
     zero, so the first step is the second-order Taylor start.
     """
-    grid.validate()
-    u = np.zeros((grid.nt, grid.nx, grid.ny))
+    u = np.zeros((1, grid.nx, grid.ny))
     if u0 is not None:
         if u0.shape != (grid.nx, grid.ny):
             raise ValueError(f"u0 shape {u0.shape} != {(grid.nx, grid.ny)}")
         u[0, 1:-1, 1:-1] = u0[1:-1, 1:-1]
-    si, sj = source_node(params, grid)
-    amplitude = 1.0 / (grid.dx * grid.dy)
-    f = [np.sin(params.omega * n * grid.dt) * amplitude for n in range(grid.nt - 1)]
-    on_wall = si in (0, grid.nx - 1) or sj in (0, grid.ny - 1)
-    _leapfrog(u, grid, None if on_wall else ((si, sj), f))
-    return u
+    out = np.empty((1, grid.nt, grid.nx, grid.ny))
+    _full_solve([params], grid, u, out, (0, 0))
+    return out[0]
 
 
-def submodel_solve(traces: np.ndarray, params: WaveParams, grid: GridSpec) -> np.ndarray:
-    """Re-solve on the zoom window from prescribed boundary traces.
+def solve_zoom(params: Sequence[WaveParams], grid: GridSpec) -> np.ndarray:
+    """Full-domain solves of a block of samples, kept on the zoom window only.
 
-    The window problem is source-free (the source must sit outside the
-    window interior); interior nodes start at rest and the ring holds
-    ``traces[n]`` at step ``n``, making the scheme identical to the full
-    solve restricted to the window.
+    Gives ``[B, nt, zoom_nx, zoom_ny]``, equal to :func:`solve_wave`
+    restricted to the window, sample by sample.  No sample's
+    ``[nt, nx, ny]`` history is built: the working set is two time
+    levels of the block, so callers size blocks to stay in cache.
+    """
+    out = np.empty((len(params), grid.nt, grid.zoom_nx, grid.zoom_ny))
+    _full_solve(params, grid, np.zeros((len(params), grid.nx, grid.ny)), out,
+                (grid.zoom_ix, grid.zoom_iy))
+    return out
+
+
+def submodel_solve_batch(
+    traces: np.ndarray, params: Sequence[WaveParams], grid: GridSpec
+) -> np.ndarray:
+    """Re-solve a batch of samples on the zoom window from prescribed ring traces.
+
+    ``traces[b]`` is sample ``b``'s ``[nt, n_boundary]`` ring; the result
+    is ``[B, nt, zoom_nx, zoom_ny]``.  The window problem is source-free:
+    a sample whose source node lies inside the window interior is
+    refused, naming its index.  Interior nodes start at rest and the ring
+    holds ``traces[b, n]`` at step ``n``, making the scheme identical to
+    the full solve restricted to the window.
     """
     grid.validate()
     znx, zny = grid.zoom_nx, grid.zoom_ny
+    if traces.shape != (len(params), grid.nt, grid.n_boundary):
+        raise ValueError(
+            f"traces shape {traces.shape} != {(len(params), grid.nt, grid.n_boundary)}"
+        )
+    for b, p in enumerate(params):
+        si, sj = source_node(p, grid)
+        if (
+            grid.zoom_ix < si < grid.zoom_ix + znx - 1
+            and grid.zoom_iy < sj < grid.zoom_iy + zny - 1
+        ):
+            raise ValueError(f"sample {b}: source node lies inside the zoom window interior")
+
+    ii, jj = boundary_index_arrays(grid)
+    u = np.zeros((len(params), znx, zny))
+    u[:, ii, jj] = traces[:, 0]
+    out = np.empty((len(params), grid.nt, znx, zny))
+    _leapfrog(u, grid, out, ring=(ii, jj, traces))
+    return out
+
+
+def submodel_solve(traces: np.ndarray, params: WaveParams, grid: GridSpec) -> np.ndarray:
+    """One sample's :func:`submodel_solve_batch`.
+
+    Maps ``traces[nt, n_boundary]`` to the window field ``[nt, zoom_nx, zoom_ny]``.
+    """
     if traces.shape != (grid.nt, grid.n_boundary):
         raise ValueError(
             f"traces shape {traces.shape} != {(grid.nt, grid.n_boundary)}"
         )
-    si, sj = source_node(params, grid)
-    if (
-        grid.zoom_ix < si < grid.zoom_ix + znx - 1
-        and grid.zoom_iy < sj < grid.zoom_iy + zny - 1
-    ):
-        raise ValueError("source node lies inside the zoom window interior")
-
-    ii, jj = boundary_index_arrays(grid)
-    u = np.zeros((grid.nt, znx, zny))
-    u[:, ii, jj] = traces
-    _leapfrog(u, grid)
-    return u
+    return submodel_solve_batch(traces[None], [params], grid)[0]
 
 
 def velocity_field(u: np.ndarray, dt: float) -> np.ndarray:
-    """Time derivative of a ``[nt, ...]`` field.
+    """Time derivative of a ``[nt, nx, ny]`` field or a batch ``[B, nt, nx, ny]``.
 
-    Central differences on interior steps, first-order one-sided at the
-    two ends; needs at least 3 time samples.
+    Time is the third axis from the end.  Central differences on
+    interior steps, first-order one-sided at the two ends; needs at
+    least 3 time samples.
     """
-    if u.shape[0] < 3:
+    if u.shape[-3] < 3:
         raise ValueError("velocity_field needs at least 3 time steps")
-    return np.gradient(u, dt, axis=0, edge_order=1)
+    return np.gradient(u, dt, axis=-3, edge_order=1)
 
 
 def energy_series(u: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -258,3 +258,21 @@ class TestEvaluateCompressTables:
         assert all(abs(float(r[2])) < 1e-9 for r in rows)
         eps_rows = {r.split(",")[0]: float(r.split(",")[2]) for r in report[1:] if r.startswith("eps")}
         assert abs(eps_rows["eps_before"] - eps_rows["eps_after"]) < 1e-9
+
+    def test_compress_without_full_kernels_predicts_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        import sepconvwave.harness.cli as cli
+
+        cfg = tmp_path / "sep.cfg"
+        cfg.write_text(Path(TINY).read_text().replace("variant = FC_t", "variant = Conv2.5Db")
+                       .replace("regularization = SL", "regularization = Basic"))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        calls = []
+        predict = cli.predict_fields
+        monkeypatch.setattr(cli, "predict_fields", lambda *a, **k: calls.append(1) or predict(*a, **k))
+        capsys.readouterr()
+        assert main(["compress", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == []
+        assert not (out / "Conv2p5Db_Basic" / "compress.csv").exists()
+        assert "Conv2.5Db[Basic]: no full 2D/3D convolution layers to compress" in capsys.readouterr().out

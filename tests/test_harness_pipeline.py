@@ -1,9 +1,13 @@
 """Training jobs and the boundary-driven zoom evaluation pipeline."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sepconvwave.harness import (
+    ExperimentConfig,
     VariantSpec,
     build_model,
     error_indicator,
@@ -223,6 +227,35 @@ class TestZoomEvaluate:
             preds = predict_fields(model, spec, test_ds, scaler, pscaler)
             assert preds["u"].shape == shape
             assert preds["v"].shape == shape
+
+
+class TestZoomIndicatorBytes:
+    """``zoom_evaluate`` on the ``configs/tiny.cfg`` test set with fixed noisy predictions.
+
+    The digests were taken from the per-sample re-solve on a 64-bit x86
+    host; a change to the re-solve's or the velocity's rounding shows here.
+    """
+
+    @pytest.fixture(scope="class")
+    def test_set(self):
+        cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "tiny.cfg")
+        return generate_dataset(cfg.grid(), cfg.test_samples, seed=cfg.seed + 1, bounds=cfg.bounds())
+
+    @pytest.mark.parametrize(
+        "variant, reference, digest",
+        [
+            ("Conv3D", "u", "63efb6c4719a1c5c9d29837a0b656068149d6b7b8d44c4f744124e9b582205de"),
+            ("Conv1D_Boundary", "boundary_u",
+             "0bb8ad3a28cfd86e9d5d1f256feaea199295f628326d0a5acf9158723803247c"),
+        ],
+    )
+    def test_eps_pt_digest(self, test_set, variant, reference, digest):
+        ref = test_set.stack(reference)
+        noise = np.random.default_rng(15).standard_normal(ref.shape)
+        pred = ref + 1e-2 * np.max(np.abs(ref)) * noise
+        result = zoom_evaluate(VariantSpec(variant), {"u": pred}, test_set)
+        got = hashlib.sha256(result.eps_u.eps_pt.tobytes() + result.eps_v.eps_pt.tobytes())
+        assert got.hexdigest() == digest
 
 
 class TestTraceExtractionConsistency:
