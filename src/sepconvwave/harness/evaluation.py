@@ -52,8 +52,12 @@ def error_indicator(pred: np.ndarray, ref: np.ndarray) -> ErrorIndicator:
     if pred.shape != ref.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {ref.shape}")
     space_axes = tuple(range(2, pred.ndim))
-    num = np.mean(np.abs(pred - ref), axis=space_axes)
-    den = np.max(np.abs(ref), axis=space_axes)
+    # one new buffer holds |pred - ref| and then |ref|: multi-MB
+    # temporaries freed together go back to the OS and fault in again on
+    # the next call
+    buf = np.subtract(pred, ref)
+    num = np.mean(np.abs(buf, out=buf), axis=space_axes)
+    den = np.max(np.abs(ref, out=buf), axis=space_axes)
     valid = den >= _DENOM_GUARD
     eps_pt = np.full(num.shape, np.nan)
     np.divide(num, den, out=eps_pt, where=valid)

@@ -29,20 +29,20 @@ __all__ = [
 class KernelDecomposition:
     """Sum of outer products approximating a 2-way or 3-way kernel.
 
-    Each term is a tuple of 1D factor vectors; for ``order == 3`` the
-    third factor is a unit basis vector selecting the source slice.
+    Each term is a tuple of 1D factor vectors, one per kernel axis; for a
+    3-way kernel the third factor is a unit basis vector selecting the
+    source slice.
     """
 
     shape: tuple[int, ...]
     terms: tuple[tuple[np.ndarray, ...], ...]
-    order: int
 
     def __post_init__(self):
-        if self.order not in (2, 3):
-            raise ValueError(f"order must be 2 or 3, got {self.order}")
+        if len(self.shape) not in (2, 3):
+            raise ValueError(f"kernel must be 2-way or 3-way, got shape {self.shape}")
         for term in self.terms:
-            if len(term) != self.order:
-                raise ValueError("term arity does not match decomposition order")
+            if len(term) != len(self.shape):
+                raise ValueError("term arity does not match the kernel's number of axes")
 
 
 def decompose_2d(kernel: np.ndarray, r: int) -> KernelDecomposition:
@@ -62,7 +62,7 @@ def decompose_2d(kernel: np.ndarray, r: int) -> KernelDecomposition:
     for i in range(r):
         w = np.sqrt(sigma[i])
         terms.append((w * u[:, i], w * v[:, i]))
-    return KernelDecomposition(kernel.shape, tuple(terms), order=2)
+    return KernelDecomposition(kernel.shape, tuple(terms))
 
 
 def decompose_3d(kernel: np.ndarray, r: int) -> KernelDecomposition:
@@ -83,7 +83,7 @@ def decompose_3d(kernel: np.ndarray, r: int) -> KernelDecomposition:
         basis[l] = 1.0
         for left, right in decompose_2d(kernel[:, :, l], r).terms:
             terms.append((left, right, basis))
-    return KernelDecomposition(kernel.shape, tuple(terms), order=3)
+    return KernelDecomposition(kernel.shape, tuple(terms))
 
 
 def reconstruct(decomp: KernelDecomposition) -> np.ndarray:

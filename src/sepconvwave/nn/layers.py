@@ -24,7 +24,9 @@ their reference.  The separable layer replaces each d-way kernel with a
 sequence of small per-stage kernels (one per axis group) connected by
 axis moves, so a filter costs the sum of its extents instead of their
 product; the full convolution ``Conv`` is its one-stage case, a single
-group holding every axis.
+group holding every axis.  The stages are linear, so the layer is the
+convolution with the outer product of its stage kernels (a rank-1 CP
+format), whatever order the stages run in.
 
 A convolution can read a nearest-neighbour upsample without the repeat
 being built (resize-convolution; Odena, Dumoulin & Olah 2016, and the
@@ -399,10 +401,9 @@ class SeparableConv(Layer):
     Kronecker product of its axes' bands; only hand-passed ``groups``
     make one.
 
-    With ``stage_activation=True`` a tanh is inserted between stages,
-    making the decomposition nonlinear; the default keeps stages linear
-    so the layer matches the full convolution with the outer-product
-    kernels exactly.
+    Every stage is linear, so the layer is one linear map: it equals
+    ``Conv`` loaded with :meth:`equivalent_kernels` up to rounding, and
+    ``groups`` fixes only the order in which the stages run.
 
     The output is C-ordered.  The input gradient, the same for every
     input channel, is a read-only broadcast view of the gradient of the
@@ -410,16 +411,11 @@ class SeparableConv(Layer):
     """
 
     kind = "sepconv"
+    # the stages are always linear; benchmarks/flops.py:118 (layer_cost)
+    # still reads this flag in traced runs, so it stays until that read goes
+    stage_activation = False
 
-    def __init__(
-        self,
-        c_in: int,
-        n_f: int,
-        extents,
-        rng: np.random.Generator,
-        groups=None,
-        stage_activation: bool = False,
-    ):
+    def __init__(self, c_in: int, n_f: int, extents, rng: np.random.Generator, groups=None):
         self.c_in = c_in
         self.n_f = n_f
         self.extents = tuple(int(e) for e in extents)
@@ -432,7 +428,6 @@ class SeparableConv(Layer):
         covered = sorted(a for g in self.groups for a in g)
         if covered != list(range(nd)):
             raise ValueError(f"groups {self.groups} must partition axes 0..{nd - 1}")
-        self.stage_activation = stage_activation
         fan_in = self._fan_in()
         self.stage_kernels = [
             Parameter(_uniform_init(rng, (n_f,) + tuple(self.extents[a] for a in g), fan_in))
@@ -480,7 +475,6 @@ class SeparableConv(Layer):
         # with it and wait for their own stage.
         z = small.sum(axis=1)
         plans = []
-        preacts = []
         for s, (group, ker) in enumerate(zip(self.groups, self.stage_kernels)):
             offset = 1 if s == 0 else 2
             z = np.moveaxis(z, [offset + a for a in group], range(z.ndim - len(group), z.ndim))
@@ -490,22 +484,16 @@ class SeparableConv(Layer):
                 plans.append(plan)
             del plan  # an eval forward frees each stage's input once the stage is done
             z = np.moveaxis(z, range(z.ndim - len(group), z.ndim), [2 + a for a in group])
-            activate = self.stage_activation and s < len(self.groups) - 1
-            preacts.append(z if activate and training else None)
-            if activate:
-                z = np.tanh(z)
-        self._cache = (plans, preacts) if training else None
+        self._cache = plans if training else None
         # the last stage leaves its axes permuted; the output is C-ordered
         return np.add(z, self.bias.value.reshape((1, self.n_f) + (1,) * nd), order="C")
 
     def backward(self, grad):
-        plans, preacts = self._take_cache()
+        plans = self._take_cache()
         nd = len(self.extents)
         self.bias.grad += grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
         g = grad
         for s in reversed(range(len(self.groups))):
-            if preacts[s] is not None:
-                g = g * (1.0 - np.tanh(preacts[s]) ** 2)
             group = self.groups[s]
             g = np.moveaxis(g, [2 + a for a in group], range(g.ndim - len(group), g.ndim))
             kgrad, g = (_banded_backward if s else _polyphase_backward)(g, plans[s])

@@ -257,6 +257,12 @@ class TestZoomIndicatorBytes:
         got = hashlib.sha256(result.eps_u.eps_pt.tobytes() + result.eps_v.eps_pt.tobytes())
         assert got.hexdigest() == digest
 
+    @pytest.mark.parametrize("variant, reference", [("Conv3D", "u"), ("Conv1D_Boundary", "boundary_u")])
+    def test_predictions_are_only_read(self, test_set, variant, reference):
+        pred = test_set.stack(reference)
+        pred.flags.writeable = False
+        zoom_evaluate(VariantSpec(variant), {"u": pred}, test_set)
+
 
 class TestTraceExtractionConsistency:
     def test_prediction_ring_matches_extract_boundary(self, data):

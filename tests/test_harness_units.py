@@ -302,3 +302,12 @@ class TestErrorIndicator:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             error_indicator(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)))
+
+    def test_inputs_are_only_read(self):
+        # read-only inputs: writing the error into pred or ref would raise
+        rng = np.random.default_rng(73)
+        pred, ref = rng.standard_normal((2, 2, 3, 4, 4))
+        pred.flags.writeable = ref.flags.writeable = False
+        out = error_indicator(pred, ref)
+        assert np.array_equal(out.eps_pt, np.mean(np.abs(pred - ref), axis=(2, 3))
+                              / np.max(np.abs(ref), axis=(2, 3)))

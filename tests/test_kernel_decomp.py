@@ -103,15 +103,22 @@ class TestReconstruct:
         d = KernelDecomposition(
             shape=(2, 2),
             terms=((np.array([1.0, 2.0]), np.array([3.0, 4.0])),),
-            order=2,
         )
         assert np.array_equal(reconstruct(d), [[3.0, 4.0], [6.0, 8.0]])
 
     def test_cancelling_terms(self):
         t = (np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         neg = (-t[0], t[1])
-        d = KernelDecomposition(shape=(2, 2), terms=(t, neg), order=2)
+        d = KernelDecomposition(shape=(2, 2), terms=(t, neg))
         assert np.array_equal(reconstruct(d), np.zeros((2, 2)))
+
+    def test_term_arity_follows_kernel_shape(self):
+        a = np.array([1.0, 2.0])
+        with pytest.raises(ValueError):
+            KernelDecomposition(shape=(2, 2), terms=((a, a, a),))
+        with pytest.raises(ValueError):
+            KernelDecomposition(shape=(2,), terms=((a,),))
+        assert len(decompose_3d(np.ones((2, 2, 3)), 1).terms[0]) == 3
 
     def test_full_rank_round_trip(self):
         rng = np.random.default_rng(28)

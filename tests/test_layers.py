@@ -145,13 +145,6 @@ class TestSeparableConv:
             rng.standard_normal((2, 2, 4, 5, 5)),
         )
 
-    def test_gradients_with_stage_activation(self):
-        rng = np.random.default_rng(14)
-        check_layer_gradients(
-            SeparableConv(1, 2, (3, 3), rng, stage_activation=True),
-            rng.standard_normal((2, 1, 6, 6)),
-        )
-
     def test_group_partition_validated(self):
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError):

@@ -26,13 +26,12 @@ def _rel(a, b) -> float:
 
 def _run_pair(case, linked):
     """Upsample then conv, forward and backward; the conv's draws follow the case seed."""
-    factors, extents, groups, stage_activation, c_in, n_f, small, seed = case
+    factors, extents, groups, c_in, n_f, small, seed = case
     rng = np.random.default_rng(seed)
     if groups == "conv":
         conv = Conv(c_in, n_f, extents, rng)
     else:
-        conv = SeparableConv(c_in, n_f, extents, rng, groups=groups,
-                             stage_activation=stage_activation)
+        conv = SeparableConv(c_in, n_f, extents, rng, groups=groups)
     up = Upsample((1,) + factors)
     up.linked = linked
     x = rng.standard_normal(small)
@@ -73,8 +72,8 @@ def _pair_cases(draw):
     # the smallest input whose repeat fits the kernel, plus up to two
     spatial = tuple(-(-k // f) + draw(st.integers(0, 2)) for k, f in zip(extents, factors))
     c_in, n_f, batch = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    return (factors, extents, groups, draw(st.booleans()), c_in, n_f,
-            (batch, c_in) + spatial, draw(st.integers(0, 2**32 - 1)))
+    return (factors, extents, groups, c_in, n_f, (batch, c_in) + spatial,
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -83,28 +82,30 @@ def test_folded_pair_equals_upsample_then_conv(case):
     _assert_fold_matches(case)
 
 
+# each id keeps the name its case had when a fourth column, the last part
+# of the id, chose a tanh between the stages
 @pytest.mark.parametrize(
-    "factors, extents, groups, stage_activation",
+    "factors, extents, groups",
     [
         # k < f: every phase's merged kernel has one or two taps
-        ((4, 3), (2, 1), None, False),
-        ((5,), (3,), "conv", False),
+        pytest.param((4, 3), (2, 1), None, id="factors0-extents0-None-False"),
+        pytest.param((5,), (3,), "conv", id="factors1-extents1-conv-False"),
         # f = 6 with k = 5, as the mid-block time repeat of the 3D stacks
-        ((6, 1, 1), (5, 5, 5), "conv", False),
-        ((6, 1, 1), (5, 5, 5), ((1, 2), (0,)), False),
-        ((6, 1, 1), (5, 5, 5), None, True),
+        pytest.param((6, 1, 1), (5, 5, 5), "conv", id="factors2-extents2-conv-False"),
+        pytest.param((6, 1, 1), (5, 5, 5), ((1, 2), (0,)), id="factors3-extents3-groups3-False"),
+        pytest.param((6, 1, 1), (5, 5, 5), None, id="factors4-extents4-None-True"),
         # all-ones factors (a mid-block repeat of 1)
-        ((1, 1, 1), (5, 3, 3), "conv", False),
-        ((1, 1, 1), (5, 3, 3), ((1, 2), (0,)), True),
+        pytest.param((1, 1, 1), (5, 3, 3), "conv", id="factors5-extents5-conv-False"),
+        pytest.param((1, 1, 1), (5, 3, 3), ((1, 2), (0,)), id="factors6-extents6-groups6-True"),
         # the desk blocks
-        ((2, 2, 2), (7, 5, 5), "conv", False),
-        ((2, 2, 2), (7, 5, 5), ((1, 2), (0,)), False),
-        ((2, 2, 2), (7, 5, 5), ((2, 0), (1,)), True),
+        pytest.param((2, 2, 2), (7, 5, 5), "conv", id="factors7-extents7-conv-False"),
+        pytest.param((2, 2, 2), (7, 5, 5), ((1, 2), (0,)), id="factors8-extents8-groups8-False"),
+        pytest.param((2, 2, 2), (7, 5, 5), ((2, 0), (1,)), id="factors9-extents9-groups9-True"),
     ],
 )
-def test_folded_pair_cases(factors, extents, groups, stage_activation):
+def test_folded_pair_cases(factors, extents, groups):
     small = (2, 3) + tuple(-(-k // f) + 1 for k, f in zip(extents, factors))
-    _assert_fold_matches((factors, extents, groups, stage_activation, 3, 2, small, 7))
+    _assert_fold_matches((factors, extents, groups, 3, 2, small, 7))
 
 
 def test_linked_upsample_returns_a_read_only_nan_stand_in():
