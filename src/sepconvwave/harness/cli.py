@@ -100,13 +100,9 @@ def cmd_generate(cfg) -> None:
 
 
 def _history_csv(history) -> str:
-    lines = [HISTORY_HEADER]
-    for rec in history:
-        lines.append(
-            f"{rec['epoch']},{rec['loss']!r},{rec['mse_u']!r},{rec['mse_v']!r},"
-            f"{rec['euler']!r},{rec['lr']!r}"
-        )
-    return "\n".join(lines) + "\n"
+    names = HISTORY_HEADER.split(",")
+    rows = [",".join(repr(rec[name]) for name in names) for rec in history]
+    return "\n".join([HISTORY_HEADER, *rows]) + "\n"
 
 
 def _train_cell(cfg, spec, train_ds, scaler, pscaler) -> Path:

@@ -141,8 +141,13 @@ class ExperimentConfig:
             raise ValueError("need at least one train and one test sample")
         if not self.omega_min < self.omega_max:
             raise ValueError("omega bounds must satisfy omega_min < omega_max")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        # "not value > 0" also rejects NaN; a batch size of 0 means full batch
+        for key in ("lr0", "lr_final"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"[training] {key} must be > 0, got {getattr(self, key)}")
+        for key in ("epochs", "batch_size", "lambda_euler"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"[training] {key} must be >= 0, got {getattr(self, key)}")
         if self.compress_rank < 1:
             raise ValueError("[compress] rank must be >= 1")
 

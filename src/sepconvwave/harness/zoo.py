@@ -99,24 +99,26 @@ def _time_channels(spec, grid, spatial):
     return (1, spatial) if spec.time_conditioned else (grid.nt, (grid.nt, *spatial))
 
 
+def _norm(spec, n):
+    """A ``BatchNorm`` over ``n`` channels when the cell asks for one, else nothing."""
+    return [BatchNorm(n)] if spec.batch_norm else []
+
+
 def _lift_and_two_blocks(spec, rng, conv, c0, latent, n_f, extents):
     """Dense lift onto ``(c0, *latent)``, then two x2 upsample/conv blocks."""
-    def norm(n):
-        return [BatchNorm(n)] if spec.batch_norm else []
-
     ups = (1,) + (2,) * len(latent)
     return [
         Dense(spec.input_dim, c0 * int(np.prod(latent)), rng),
         Reshape((c0, *latent)),
-        *norm(c0),
+        *_norm(spec, c0),
         Tanh(),
         Upsample(ups),
         conv(c0, n_f, extents, rng),
-        *norm(n_f),
+        *_norm(spec, n_f),
         Tanh(),
         Upsample(ups),
         conv(n_f, n_f, extents, rng),
-        *norm(n_f),
+        *_norm(spec, n_f),
         Tanh(),
     ]
 
@@ -139,11 +141,11 @@ def _stack_3d(spec, grid, w, rng, conv):
         Reshape((1, t0, x0, y0)),
         Upsample((1, 2, 2, 2)),
         conv(1, n_f, (kt, ks, ks), rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
+        *_norm(spec, n_f),
         Tanh(),
         Upsample((1, 2, 2, 2)),
         conv(n_f, n_f, (kt, ks, ks), rng),
-        *(([BatchNorm(n_f)] if spec.batch_norm else [])),
+        *_norm(spec, n_f),
         Tanh(),
     ]
     final = [
@@ -180,10 +182,10 @@ def _stack_fc(spec, grid, w, rng):
     out_dim = int(np.prod(out_shape))
     prefix = [
         Dense(spec.input_dim, width, rng),
-        *(([BatchNorm(width)] if spec.batch_norm else [])),
+        *_norm(spec, width),
         Tanh(),
         Dense(width, width, rng),
-        *(([BatchNorm(width)] if spec.batch_norm else [])),
+        *_norm(spec, width),
         Tanh(),
     ]
     final = [Dense(width, out_dim, rng)]

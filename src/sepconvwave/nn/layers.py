@@ -54,10 +54,10 @@ one, and the kernel contracted with its axes' bands is a dense operator
   gradient.  The repeat enters in polyphase form: output phase p < f is
   a valid correlation of the un-repeated signal with the merged kernel,
   row p of the band operator, which has ``(p + k - 1) // f + 1`` taps
-  (at f = 2, 7 taps become 4 and 5 become 3).  The phases are extra
-  filters of the one contraction; they are interleaved and cropped to
-  ``f * n - k + 1``, and the kernel gradient is the band operator's
-  adjoint.
+  (at f = 2, 7 taps become 4 and 5 become 3).  The contraction writes
+  each phase right after its output position, so one reshape is the
+  interleave (depth-to-space) before the crop to ``f * n - k + 1``, and
+  the kernel gradient is the band operator's adjoint.
 * A depthwise stage (every later stage; each filter convolves its own
   slice) is the whole band operator, one small dense matrix per filter,
   applied by a batched matrix product.  The forward pass is ``z @ A^T``,
@@ -157,22 +157,26 @@ def _subscripts(ndim: int, g: int) -> tuple[str, str, str]:
     """einsum subscripts ``(windows, kernel, output)`` of stage 0's correlation.
 
     The correlation runs over the trailing ``g`` axes of an ``ndim``-axis
-    input shared by every filter; the filter axis ``f`` comes from the
-    kernel.
+    input shared by every filter.  The kernel is ``[n_f, *phases, *taps]``
+    and the output ``[batch, n_f, *rest, q1, p1, q2, p2, ...]``: each
+    phase axis right after its position axis, so merging each pair
+    interleaves the phases (depth-to-space).
     """
     rest = "ghi"[: ndim - g - 1]
-    out, taps = "lmn"[:g], "pqr"[:g]
-    return "b" + rest + out + taps, "f" + taps, "bf" + rest + out
+    out, phases, taps = "lmn"[:g], "stu"[:g], "pqr"[:g]
+    placed = "".join(q + p for q, p in zip(out, phases))
+    return "b" + rest + out + taps, "f" + phases + taps, "bf" + rest + placed
 
 
 def _correlate(z: np.ndarray, taps, operand: np.ndarray, kernel_grad: bool = False) -> np.ndarray:
     """Stage 0's windowed contraction over the trailing axes of ``z``.
 
-    Forward: ``operand`` is the kernel ``[n_f, *taps]`` and the result is
-    the valid correlation ``[batch, n_f, *rest, *out]``.  With
-    ``kernel_grad`` the operand is that result's gradient and the result is
-    the kernel gradient: the same contraction, output and kernel swapped.
-    Both contract over the taps as a matrix product on a window copy.
+    Forward: ``operand`` is the kernel ``[n_f, *phases, *taps]`` and the
+    result the valid correlation of every phase, laid out as
+    :func:`_subscripts` says.  With ``kernel_grad`` the operand is that
+    result's gradient and the result is the kernel gradient: the same
+    contraction, output and kernel swapped.  Both contract over the taps
+    as a matrix product on a window copy.
     """
     win, ker, out = _subscripts(z.ndim, len(taps))
     spec = f"{win},{out}->{ker}" if kernel_grad else f"{win},{ker}->{out}"
@@ -191,14 +195,14 @@ def _correlate_input_grad(grad: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     over the taps of its window, laid out taps first, so folding them onto
     the input adds one contiguous slab per tap.
     """
-    taps = kernel.shape[1:]
-    g = len(taps)
-    win, ker, out = _subscripts(grad.ndim - 1, g)
-    spec = f"{out},{ker}->{ker[1:]}{win[:-g]}"
-    out_sp = grad.shape[-g:]
-    lead = grad.shape[:1] + grad.shape[2:-g]
+    g = (kernel.ndim - 1) // 2
+    taps = kernel.shape[1 + g:]
+    win, ker, out = _subscripts(grad.ndim - 1 - g, g)
+    spec = f"{out},{ker}->{ker[1 + g:]}{win[:-g]}"
+    out_sp = grad.shape[-2 * g::2]
+    lead = grad.shape[:1] + grad.shape[2:-2 * g]
     gin = np.zeros(lead + tuple(n + k - 1 for n, k in zip(out_sp, taps)))
-    for a, b in _batch_chunks(len(grad), kernel[0].size * int(np.prod(lead[1:] + out_sp))):
+    for a, b in _batch_chunks(len(grad), int(np.prod(taps + lead[1:] + out_sp))):
         cols = np.einsum(spec, grad[a:b], kernel, optimize=True)
         for tap in np.ndindex(*taps):
             window = tuple(slice(t, t + n) for t, n in zip(tap, out_sp))
@@ -258,11 +262,11 @@ def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
     The repeat is never built.  Output phase ``p`` (the output index modulo
     the factor, per axis) is a valid correlation of ``z`` itself with that
     phase's merged kernel, row p of the kernel's band operator
-    (:func:`_band`); the phases are stacked as extra filters of one
-    contraction, then interleaved (depth-to-space) and cropped to
-    ``f * n - k + 1``.  With every factor 1 there is one phase, whose
-    merged kernel is the kernel.  Returns the output and the plan that
-    :func:`_polyphase_backward` reuses.
+    (:func:`_band`).  One contraction writes every phase next to its
+    position, so one reshape interleaves them (depth-to-space) before the
+    crop to ``f * n - k + 1``.  With every factor 1 there is one phase,
+    whose merged kernel is the kernel.  Returns the output and the plan
+    that :func:`_polyphase_backward` reuses.
     """
     g = len(factors)
     taps = tuple((f + k - 2) // f + 1 for f, k in zip(factors, kernel.shape[1:]))
@@ -273,13 +277,8 @@ def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
     pad = [t - (k - 1) // f - 1 for f, k, t in zip(factors, kernel.shape[1:], taps)]
     if any(pad):
         z = np.pad(z, [(0, 0)] * (z.ndim - g) + [(0, n) for n in pad])
-    y = _correlate(z, taps, phase.reshape((-1,) + taps))
-    r = z.ndim - g - 1  # axes that are neither batch nor correlated
-    y = y.reshape((len(z), len(kernel)) + tuple(factors) + y.shape[-(r + g):])
-    out = y.shape[2 + g + r:]
-    y = y.transpose(0, 1, *range(2 + g, 2 + g + r),
-                    *(a for i in range(g) for a in (2 + g + r + i, 2 + i)))
-    y = y.reshape(y.shape[:2 + r] + tuple(n * f for n, f in zip(out, factors)))
+    y = _correlate(z, taps, phase)
+    y = y.reshape(y.shape[:-2 * g] + tuple(n * f for n, f in zip(y.shape[-2 * g::2], factors)))
     crop = tuple(slice(f * n - k + 1) for f, n, k in zip(factors, small, kernel.shape[1:]))
     return y[(Ellipsis,) + crop], (z, bands, phase, small)
 
@@ -287,27 +286,23 @@ def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
 def _polyphase_backward(grad: np.ndarray, plan):
     """Kernel and input gradients of :func:`_polyphase`, the input's un-repeated.
 
-    The output gradient is zero-padded over the cropped phases and split
-    back into phases (space-to-depth).  The merged kernels' gradient is
-    the band operator's gradient, so :func:`_band_operator_adjoint`
-    scatter-adds it onto the kernel's taps; the input gradients of the
-    phases add up on ``z``.
+    The output gradient is zero-padded over the cropped phases and viewed
+    as (position, phase) pairs (space-to-depth), the layout of the
+    forward's contraction.  The merged kernels' gradient is the band
+    operator's gradient, so :func:`_band_operator_adjoint` scatter-adds
+    it onto the kernel's taps; the input gradients of the phases add up
+    on ``z``.
     """
     z, bands, phase, small = plan
     g = len(bands)
-    factors = tuple(band.shape[1] for band in bands)
-    taps = phase.shape[1 + g:]
+    factors, taps = phase.shape[1:1 + g], phase.shape[1 + g:]
     n_out = tuple(n - t + 1 for n, t in zip(z.shape[-g:], taps))
     extra = [f * n - L for f, n, L in zip(factors, n_out, grad.shape[-g:])]
     if any(extra):
         grad = np.pad(grad, [(0, 0)] * (grad.ndim - g) + [(0, n) for n in extra])
-    lead = grad.ndim - g
-    grad = grad.reshape(grad.shape[:lead] + tuple(n for nf in zip(n_out, factors) for n in nf))
-    grad = grad.transpose(0, 1, *(lead + 2 * i + 1 for i in range(g)), *range(2, lead),
-                          *(lead + 2 * i for i in range(g)))
-    grad = grad.reshape((len(grad), -1) + grad.shape[2 + g:])
+    grad = grad.reshape(grad.shape[:-g] + tuple(n for nf in zip(n_out, factors) for n in nf))
     dphase = _correlate(z, taps, grad, kernel_grad=True)
-    gin = _correlate_input_grad(grad, phase.reshape((-1,) + taps))
+    gin = _correlate_input_grad(grad, phase)
     dkernel = _band_operator_adjoint(dphase.reshape(len(phase), -1), bands)
     return dkernel, gin[(Ellipsis,) + tuple(slice(n) for n in small)]
 
@@ -362,8 +357,7 @@ class Dense(Layer):
         self.bias = Parameter(_uniform_init(rng, (n_out,), n_in))
 
     def forward(self, x, training=False):
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ValueError(f"dense expects [batch, {self.n_in}], got {x.shape}")
+        self.output_shape(x.shape[1:])
         self._cache = x if training else None
         return x @ self.weight.value.T + self.bias.value
 
@@ -460,12 +454,8 @@ class SeparableConv(Layer):
             p.value[...] = f
 
     def forward(self, x, training=False):
+        self.output_shape(x.shape[1:])
         nd = len(self.extents)
-        if x.ndim != 2 + nd or x.shape[1] != self.c_in:
-            raise ValueError(
-                f"{self.kind} expects [batch, {self.c_in}, *spatial({nd})], got {x.shape}"
-            )
-        self._out_spatial(x.shape[2:])
         # a linked Upsample's stand-in: compute from the un-repeated tensor
         small, factors = (x.small, x.factors[1:]) if isinstance(x, _Repeated) else (x, (1,) * nd)
         # channels fold into the multi-index first (the sum commutes with
@@ -503,18 +493,14 @@ class SeparableConv(Layer):
         # every input channel gets the same gradient: a read-only view, no copy
         return np.broadcast_to(g[:, None], (len(g), self.c_in) + g.shape[1:])
 
-    def _out_spatial(self, spatial):
-        if len(spatial) != len(self.extents):
-            raise ValueError(f"expected {len(self.extents)} spatial axes, got {spatial}")
-        out = tuple(n - k + 1 for n, k in zip(spatial, self.extents))
-        if any(n < 1 for n in out):
-            raise ValueError(f"kernel extents {self.extents} do not fit {spatial}")
-        return out
-
     def output_shape(self, in_shape):
-        if in_shape[0] != self.c_in:
-            raise ValueError(f"{self.kind} expects {self.c_in} channels, got {in_shape[0]}")
-        return (self.n_f,) + self._out_spatial(in_shape[1:])
+        nd = len(self.extents)
+        if len(in_shape) != 1 + nd or in_shape[0] != self.c_in:
+            raise ValueError(f"{self.kind} expects ({self.c_in}, *spatial({nd})), got {in_shape}")
+        out = tuple(n - k + 1 for n, k in zip(in_shape[1:], self.extents))
+        if any(n < 1 for n in out):
+            raise ValueError(f"kernel extents {self.extents} do not fit {in_shape[1:]}")
+        return (self.n_f,) + out
 
     def parameters(self):
         out = [(f"stage{i}", p) for i, p in enumerate(self.stage_kernels)]
@@ -568,8 +554,7 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels)
 
     def forward(self, x, training=False):
-        if x.ndim < 2 or x.shape[1] != self.channels:
-            raise ValueError(f"batchnorm expects channel axis {self.channels}, got {x.shape}")
+        self.output_shape(x.shape[1:])
         x3 = x.reshape(len(x), self.channels, -1)
         if training:
             n = x3.shape[0] * x3.shape[2]
@@ -608,7 +593,7 @@ class BatchNorm(Layer):
         return xhat.reshape(grad.shape)
 
     def output_shape(self, in_shape):
-        if in_shape[0] != self.channels:
+        if in_shape[:1] != (self.channels,):
             raise ValueError(f"batchnorm expects {self.channels} channels, got {in_shape}")
         return in_shape
 
@@ -648,8 +633,7 @@ class Reshape(Layer):
         self.out = tuple(int(n) for n in out_shape)
 
     def forward(self, x, training=False):
-        if int(np.prod(x.shape[1:])) != int(np.prod(self.out)):
-            raise ValueError(f"cannot reshape per-sample {x.shape[1:]} to {self.out}")
+        self.output_shape(x.shape[1:])
         self._cache = x.shape if training else None
         return x.reshape((x.shape[0],) + self.out)
 
@@ -699,8 +683,7 @@ class Upsample(Layer):
         self.linked = False
 
     def forward(self, x, training=False):
-        if x.ndim - 1 != len(self.factors):
-            raise ValueError(f"expected {len(self.factors)} per-sample axes, got {x.shape}")
+        self.output_shape(x.shape[1:])
         if self.linked:
             return _Repeated(x, self.factors)
         # innermost first, so each later repeat copies longer contiguous runs

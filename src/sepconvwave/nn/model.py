@@ -55,22 +55,15 @@ class Model:
         self.heads = {name: list(layers) for name, layers in heads.items()}
         self.input_shape = tuple(input_shape)
         self.variant = variant
-        shape = self.input_shape
-        for layer in self.trunk:
-            shape = layer.output_shape(shape)
-        self.trunk_output_shape = shape
-        self.output_shapes = {}
-        for name, layers in self.heads.items():
-            hshape = shape
-            for layer in layers:
-                hshape = layer.output_shape(hshape)
-            self.output_shapes[name] = hshape
+        for layers in self.heads.values():
+            shape = self.input_shape
+            for layer in self.trunk + layers:
+                shape = layer.output_shape(shape)
         # fold each upsample into the convolution that reads it
         for part in [self.trunk, *self.heads.values()]:
             for layer, after in zip(part, part[1:]):
                 if isinstance(layer, Upsample):
                     layer.linked = layer.factors[0] == 1 and isinstance(after, SeparableConv)
-        self._trunk_out = None
 
     @property
     def head_names(self) -> tuple[str, ...]:
@@ -82,7 +75,6 @@ class Model:
         z = x
         for layer in self.trunk:
             z = layer.forward(z, training)
-        self._trunk_out = z if training else None
         outputs = {}
         for name, layers in self.heads.items():
             h = z
@@ -96,11 +88,9 @@ class Model:
 
         Trunk gradients are the sum over heads, so a shared trunk is
         updated by all predicted fields.  Requires a preceding training
-        forward pass, whose caches this releases.
+        forward pass, whose caches this releases; without one, the first
+        layer's backward raises ``RuntimeError``.
         """
-        trunk_out, self._trunk_out = self._trunk_out, None
-        if trunk_out is None:
-            raise RuntimeError("backward called without a preceding training forward pass")
         trunk_grad = None
         for name, layers in self.heads.items():
             if name not in grads:

@@ -111,6 +111,11 @@ def make_grid(
     """
     if not 0 < cfl_margin <= 1.0:
         raise ValueError("cfl_margin must be in (0, 1]")
+    # checked before the divisions below, which these values would break
+    if nx < 3 or ny < 3:
+        raise ValueError(f"grid needs nx, ny >= 3, got nx = {nx}, ny = {ny}")
+    if not (lx > 0 and ly > 0 and c > 0):
+        raise ValueError(f"grid needs lx, ly, c > 0, got lx = {lx}, ly = {ly}, c = {c}")
     dx = 2.0 * lx / (nx - 1)
     dy = 2.0 * ly / (ny - 1)
     dt_max = cfl_margin / (c * math.sqrt(1.0 / dx**2 + 1.0 / dy**2))

@@ -94,17 +94,12 @@ def lhs_sample(
         return lo, lo + widths[dim]
 
     if exclusion is not None:
-        x0, x1, y0, y1 = exclusion
-        x_covered = [
-            _covered(bounds[1][0] + s * widths[1],
-                     bounds[1][0] + (s + 1) * widths[1], x0, x1)
-            for s in range(n)
-        ]
-        y_covered = [
-            _covered(bounds[2][0] + s * widths[2],
-                     bounds[2][0] + (s + 1) * widths[2], y0, y1)
-            for s in range(n)
-        ]
+        # per stratum of x_s and of y_s: is it swallowed by the exclusion?
+        x_covered, y_covered = (
+            [_covered(bounds[d][0] + s * widths[d], bounds[d][0] + (s + 1) * widths[d], lo, hi)
+             for s in range(n)]
+            for d, (lo, hi) in ((1, exclusion[:2]), (2, exclusion[2:]))
+        )
         _repair_pairings(perms[1], perms[2], x_covered, y_covered, rng)
 
     out = []

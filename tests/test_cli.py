@@ -69,6 +69,22 @@ class TestExitCodes:
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "repeated key [zoo] conv3d.nf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("\nnx = 24\n", "\nnx = 1\n"),
+        ("[grid]\n", "[grid]\nc = 0\n"),
+        ("[grid]\n", "[grid]\nlx = 0\n"),
+        ("[training]\n", "[training]\ndecay = true\nlr_final = -1e-4\n"),
+        ("[training]\n", "[training]\nbatch_size = -1\n"),
+    ], ids=["nx", "c", "lx", "lr_final", "batch_size"])
+    def test_invalid_value_is_one_configuration_error_line(self, tmp_path, capsys, old, new):
+        # a degenerate grid used to divide by zero before any check ran
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(Path(TINY).read_text().replace(old, new))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and "repeated key" not in err
+
     def test_train_without_dataset_is_runtime_error(self, tmp_path):
         assert main(["train", "--config", TINY, "--out", str(tmp_path / "empty")]) == 2
 

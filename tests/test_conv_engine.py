@@ -23,9 +23,13 @@ BATCH, N_F, TAPS = 7, 3, (2, 3)
 
 
 def _engine(z, kernel, grad):
-    out = layers._correlate(z, TAPS, kernel)
-    kgrad = layers._correlate(z, TAPS, grad, kernel_grad=True)
-    igrad = layers._correlate_input_grad(grad, kernel)
+    # stage 0's layout with one phase per axis: [n_f, 1, 1, *taps] and
+    # each output position followed by its size-1 phase axis
+    phased_kernel = kernel.reshape(kernel.shape[:1] + (1,) * len(TAPS) + TAPS)
+    phased_grad = grad.reshape(grad.shape[:-2] + (grad.shape[-2], 1, grad.shape[-1], 1))
+    out = layers._correlate(z, TAPS, phased_kernel).reshape(grad.shape)
+    kgrad = layers._correlate(z, TAPS, phased_grad, kernel_grad=True).reshape(kernel.shape)
+    igrad = layers._correlate_input_grad(phased_grad, phased_kernel)
     return out, kgrad, igrad
 
 

@@ -220,6 +220,18 @@ variant = Conv2.5D
         with pytest.raises(ValueError, match="unknown key " + where):
             ExperimentConfig.from_text(text)
 
+    @pytest.mark.parametrize("line, key", [
+        ("lr0 = 0", "lr0"),
+        ("lr_final = -1e-4", "lr_final"),
+        ("batch_size = -1", "batch_size"),
+        ("lambda_euler = -0.1", "lambda_euler"),
+    ])
+    def test_invalid_training_value_rejected(self, line, key):
+        # a negative batch size would mean full batch; a negative final rate
+        # with decay would make the schedule complex
+        with pytest.raises(ValueError, match=rf"\[training\] {key} must be"):
+            ExperimentConfig.from_text(f"[training]\ndecay = true\n{line}\n")
+
     def test_cells(self):
         cfg = ExperimentConfig.from_text(
             "[training]\nvariant = Conv3D\nregularization = E&SL\n"

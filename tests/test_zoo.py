@@ -1,10 +1,19 @@
 """Model zoo construction: shapes, sharing, counts, legality."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sepconvwave.harness import VARIANT_NAMES, VariantSpec, build_model, resolve_widths
-from sepconvwave.nn import SeparableConv, count_params
+from sepconvwave.harness import (
+    VARIANT_NAMES,
+    ExperimentConfig,
+    VariantSpec,
+    build_model,
+    parse_regularization,
+    resolve_widths,
+)
+from sepconvwave.nn import SeparableConv, Tanh, count_params
 from sepconvwave.nn.gradcheck import max_relative_gradient_error
 from sepconvwave.wave import make_grid
 
@@ -158,3 +167,52 @@ class TestDeskCounts:
         grid = make_grid(nx=32, ny=32, zoom_nx=9, zoom_ny=9, nt=16)
         with pytest.raises(ValueError, match="divisible|chain"):
             build_model(VariantSpec("Conv2D"), grid, WIDTHS, 0)
+
+
+TINY = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "tiny.cfg")
+CONTRACT_CELLS = [(name, column) for name in VARIANT_NAMES for column in ("Basic", "BN", "SL")]
+
+
+def _mutations(in_shape):
+    """Per-sample shapes one step off ``in_shape``: first or last extent +1, one axis more."""
+    first = (in_shape[0] + 1,) + in_shape[1:]
+    last = in_shape[:-1] + (in_shape[-1] + 1,)
+    return first, last, in_shape + (1,)
+
+
+@pytest.mark.parametrize("name, column", CONTRACT_CELLS,
+                         ids=[f"{n}[{c}]" for n, c in CONTRACT_CELLS])
+def test_every_layer_forward_follows_its_output_shape(name, column):
+    """``output_shape`` is each layer's one shape rule, and ``forward`` keeps it.
+
+    Every layer's output matches ``output_shape`` of its input in a
+    training and an eval forward.  On a per-sample shape one step off,
+    ``forward`` raises ``ValueError`` exactly where ``output_shape`` does
+    and otherwise returns the shape it gives; every layer but ``Tanh``
+    rejects at least one such shape.
+    """
+    spec = VariantSpec(name, parse_regularization(column))
+    model = build_model(spec, TINY.grid(), TINY.zoo_widths, seed=0)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2,) + model.input_shape)
+    seen = []  # every layer with the per-sample shape it reads
+    for training in (True, False):
+        for head in model.heads.values():
+            z = x
+            for layer in model.trunk + head:
+                seen.append((layer, z.shape[1:]))
+                out = layer.forward(z, training)
+                assert out.shape[1:] == layer.output_shape(z.shape[1:]), (layer.kind, training)
+                z = out
+    for layer, in_shape in seen:
+        rejected = 0
+        for bad in _mutations(in_shape):
+            try:
+                expected = layer.output_shape(bad)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    layer.forward(rng.standard_normal((2,) + bad))
+                rejected += 1
+            else:
+                assert layer.forward(rng.standard_normal((2,) + bad)).shape[1:] == expected
+        assert rejected or isinstance(layer, Tanh), layer.kind
