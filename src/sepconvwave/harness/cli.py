@@ -249,7 +249,10 @@ def cmd_tables(cfg) -> None:
     path = Path(cfg.outdir) / "results.csv"
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run `evaluate` or `sweep` first")
-    cells = parse_results_csv(path.read_text())
+    try:
+        cells = parse_results_csv(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     paths = emit_tables(cells, cfg.threshold, cfg.outdir)
     print(f"re-emitted {paths['csv']} and {paths['text']}")
 

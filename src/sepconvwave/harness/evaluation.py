@@ -104,16 +104,14 @@ def predict_fields(
 
 
 def _traces_from_prediction(spec, pred_u: np.ndarray, dataset: WaveDataset) -> np.ndarray:
-    grid = dataset.grid
-    space = (grid.n_boundary,) if spec.boundary else (grid.zoom_nx, grid.zoom_ny)
-    expected = (len(dataset), grid.nt) + space
+    expected = dataset.stack(spec.reference_field("u")).shape
     if pred_u.shape != expected:
         raise ValueError(
             f"{spec.label()}: predictions['u'] has shape {pred_u.shape}, expected {expected}"
         )
     if spec.boundary:
         return pred_u
-    ii, jj = boundary_index_arrays(grid)
+    ii, jj = boundary_index_arrays(dataset.grid)
     return pred_u[:, :, ii, jj]
 
 
@@ -139,7 +137,7 @@ def zoom_evaluate(
     """
     grid = dataset.grid
     traces = _traces_from_prediction(spec, predictions["u"], dataset)
-    resolved = submodel_solve_batch(traces, [s.params for s in dataset.samples], grid)
+    resolved = submodel_solve_batch(traces, dataset.params, grid)
     resolved_v = velocity_field(resolved, grid.dt)
     return ZoomResult(
         eps_u=error_indicator(resolved, dataset.stack("u")),

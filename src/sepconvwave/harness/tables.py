@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,14 +37,14 @@ def _fmt_value(x: float) -> str:
 
 
 def classify_table(cells: list[ResultCell], threshold: float) -> list[ResultCell]:
-    """Mark exactly one cell best (lowest value, first wins ties).
+    """Mark one cell best: the lowest value that is not NaN, first wins ties.
 
     Remaining cells are acceptable when at or below the threshold,
-    unacceptable otherwise.  Input order is row-major and preserved.
+    unacceptable otherwise (NaN included).  Input order is row-major and
+    preserved.
     """
-    if not cells:
-        return []
-    best_index = min(range(len(cells)), key=lambda i: (cells[i].value, i))
+    numbers = [i for i, cell in enumerate(cells) if not math.isnan(cell.value)]
+    best_index = min(numbers, key=lambda i: (cells[i].value, i), default=None)
     out = []
     for i, cell in enumerate(cells):
         if i == best_index:
@@ -64,13 +65,24 @@ def results_to_csv(cells: list[ResultCell]) -> str:
 
 
 def parse_results_csv(text: str) -> list[ResultCell]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    """Cells of a results CSV; a malformed or repeated row raises, naming its line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"malformed results CSV (expected header {CSV_HEADER!r})")
-    cells = []
-    for ln in lines[1:]:
-        variant, reg, metric, value, klass = ln.split(",")
-        cells.append(ResultCell(variant, reg, metric, float(value), klass))
+    cells, seen = [], set()
+    for n, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"line {n}: {len(fields)} fields, expected 5: {ln!r}")
+        variant, reg, metric, value, klass = fields
+        if (variant, reg, metric) in seen:
+            raise ValueError(f"line {n}: repeated cell {variant},{reg},{metric}")
+        seen.add((variant, reg, metric))
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"line {n}: value {value!r} is not a float") from None
+        cells.append(ResultCell(variant, reg, metric, number, klass))
     return cells
 
 

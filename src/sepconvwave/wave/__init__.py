@@ -5,7 +5,6 @@ from .dataset import (
     default_bounds,
     generate_dataset,
     load_dataset,
-    make_sample,
     save_dataset,
 )
 from .grid import GridSpec, boundary_index_arrays, extract_boundary, make_grid, restrict
@@ -34,7 +33,6 @@ __all__ = [
     "lhs_sample",
     "load_dataset",
     "make_grid",
-    "make_sample",
     "restrict",
     "save_dataset",
     "solve_wave",

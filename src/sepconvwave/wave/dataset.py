@@ -1,14 +1,15 @@
 """Dataset generation, standard scaling and the binary dataset format.
 
-A sample couples a parameter vector with the simulated displacement and
-velocity on the zoom window plus their ring traces.  Files use the
+A dataset holds the parameter vectors and, on a leading sample axis,
+the zoom-window displacement, velocity and ring traces.  Files use the
 ``WDS1`` layout (little-endian): magic, format version u32, grid block,
 sample count u64, then per-sample records of 3 float64 parameters
 followed by the four tensors in the tensor record encoding shared with
 checkpoints (rank u64, extents u64, float64 data; see
 :mod:`sepconvwave.records`).  Identical grids and samples produce
-byte-identical files; truncated or padded files, and sample arrays whose
-shapes disagree with the grid block, are rejected on load.
+byte-identical files; truncated or padded files, a grid block that fails
+:meth:`GridSpec.validate`, a sample count of 0, and sample arrays whose
+shapes disagree with the grid block are rejected on load.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "WaveDataset",
     "Scaler",
     "default_bounds",
-    "make_sample",
     "generate_dataset",
     "save_dataset",
     "load_dataset",
@@ -39,6 +39,7 @@ VERSION = 1
 # bytes of time levels and stepper temporaries per block of full solves:
 # half of a 2 MB L2, so the block's working set stays in cache
 _BLOCK_BYTES = 1 << 20
+_SAMPLE_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,35 @@ class Sample:
     boundary_v: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WaveDataset:
+    """``params[b]`` and row ``b`` of each array are sample ``b``; the arrays are read-only."""
+
     grid: GridSpec
-    samples: list[Sample]
+    params: tuple[WaveParams, ...]
+    u: np.ndarray
+    v: np.ndarray
+    boundary_u: np.ndarray
+    boundary_v: np.ndarray
+
+    def __post_init__(self):
+        for field in _SAMPLE_FIELDS:
+            getattr(self, field).flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.params)
+
+    @property
+    def samples(self) -> list[Sample]:
+        """One :class:`Sample` per row, its arrays views of the dataset's."""
+        return list(map(Sample, self.params, self.u, self.v, self.boundary_u, self.boundary_v))
 
     def stack(self, field: str) -> np.ndarray:
-        """All samples' arrays stacked on a leading batch axis."""
-        return np.stack([getattr(s, field) for s in self.samples])
+        """The field's array over all samples: the dataset's own, not a copy."""
+        return getattr(self, field)
 
     def param_matrix(self) -> np.ndarray:
-        return np.array([list(s.params) for s in self.samples])
+        return np.array(self.params)
 
 
 def default_bounds(grid: GridSpec) -> list[tuple[float, float]]:
@@ -73,19 +89,6 @@ def default_bounds(grid: GridSpec) -> list[tuple[float, float]]:
         (-grid.lx, grid.lx),
         (-grid.ly, grid.ly),
     ]
-
-
-def _make_samples(params, grid: GridSpec) -> list[Sample]:
-    """Samples of one block of full solves, each array a view of the block's."""
-    u = solve_zoom(params, grid)
-    v = velocity_field(u, grid.dt)
-    ii, jj = boundary_index_arrays(grid)
-    boundary_u, boundary_v = u[:, :, ii, jj], v[:, :, ii, jj]
-    return [Sample(p, u[b], v[b], boundary_u[b], boundary_v[b]) for b, p in enumerate(params)]
-
-
-def make_sample(params: WaveParams, grid: GridSpec) -> Sample:
-    return _make_samples([params], grid)[0]
 
 
 def generate_dataset(
@@ -103,12 +106,17 @@ def generate_dataset(
     """
     if bounds is None:
         bounds = default_bounds(grid)
-    params = lhs_sample(n_samples, bounds, seed=seed, exclusion=grid.zoom_footprint())
+    params = tuple(lhs_sample(n_samples, bounds, seed=seed, exclusion=grid.zoom_footprint()))
+    u, v = (np.empty((len(params), grid.nt, grid.zoom_nx, grid.zoom_ny)) for _ in range(2))
+    boundary_u, boundary_v = (np.empty((len(params), grid.nt, grid.n_boundary)) for _ in range(2))
+    ii, jj = boundary_index_arrays(grid)
     block = max(1, _BLOCK_BYTES // (4 * grid.nx * grid.ny * 8))
-    samples = []
     for start in range(0, len(params), block):
-        samples += _make_samples(params[start : start + block], grid)
-    return WaveDataset(grid, samples)
+        rows = slice(start, start + block)
+        u[rows] = solve_zoom(params[rows], grid)
+        v[rows] = velocity_field(u[rows], grid.dt)
+        boundary_u[rows], boundary_v[rows] = u[rows][:, :, ii, jj], v[rows][:, :, ii, jj]
+    return WaveDataset(grid, params, u, v, boundary_u, boundary_v)
 
 
 class Scaler:
@@ -142,15 +150,13 @@ class Scaler:
 # the grid block: four float64 fields, then seven u64 fields
 _GRID_FIELDS = ("lx", "ly", "c", "dt", "nx", "ny", "zoom_ix", "zoom_iy", "zoom_nx", "zoom_ny", "nt")
 _GRID_FORMAT = "<4d7Q"
-_SAMPLE_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
 
 def save_dataset(path, dataset: WaveDataset) -> None:
-    g = dataset.grid
     with atomic_write(path) as fh:
         write_header(fh, MAGIC, VERSION)
-        fh.write(struct.pack(_GRID_FORMAT, *(getattr(g, f) for f in _GRID_FIELDS)))
-        fh.write(struct.pack("<Q", len(dataset.samples)))
+        fh.write(struct.pack(_GRID_FORMAT, *(getattr(dataset.grid, f) for f in _GRID_FIELDS)))
+        fh.write(struct.pack("<Q", len(dataset)))
         for s in dataset.samples:
             fh.write(struct.pack("<3d", *s.params))
             for field in _SAMPLE_FIELDS:
@@ -161,14 +167,19 @@ def load_dataset(path) -> WaveDataset:
     with RecordReader(path) as reader:
         reader.header(MAGIC, VERSION, "dataset")
         grid = GridSpec(**dict(zip(_GRID_FIELDS, reader.unpack(_GRID_FORMAT, "grid block"))))
+        try:
+            grid.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: grid block: {exc}") from None
         (count,) = reader.unpack("<Q", "sample count")
+        if count == 0:
+            raise ValueError(f"{path}: sample count is 0; a dataset needs at least one sample")
         field_shape = (grid.nt, grid.zoom_nx, grid.zoom_ny)
         ring_shape = (grid.nt, grid.n_boundary)
         expected = dict(zip(_SAMPLE_FIELDS, (field_shape, field_shape, ring_shape, ring_shape)))
-        samples = []
+        params, rows = [], {name: [] for name in _SAMPLE_FIELDS}
         for i in range(count):
-            params = WaveParams(*reader.unpack("<3d", f"sample {i} parameters"))
-            fields = []
+            params.append(WaveParams(*reader.unpack("<3d", f"sample {i} parameters")))
             for name in _SAMPLE_FIELDS:
                 start = reader.offset
                 array = reader.array(f"sample {i} {name}")
@@ -177,7 +188,7 @@ def load_dataset(path) -> WaveDataset:
                         f"{path}: sample {i} {name} at byte {start} has shape {array.shape}, "
                         f"the grid block gives {expected[name]}"
                     )
-                fields.append(array)
-            samples.append(Sample(params, *fields))
+                rows[name].append(array)
         reader.finish()
-    return WaveDataset(grid, samples)
+    # the rows are stacked once read, so no allocation trusts the unchecked count
+    return WaveDataset(grid, tuple(params), *(np.stack(rows[n]) for n in _SAMPLE_FIELDS))

@@ -71,21 +71,29 @@ class GridSpec:
         )
 
     def validate(self) -> None:
-        if self.nx < 3 or self.ny < 3 or self.nt < 2:
-            raise ValueError("grid needs nx, ny >= 3 and nt >= 2")
+        _check_divisors(self.nx, self.ny, lx=self.lx, ly=self.ly, c=self.c, dt=self.dt)
+        if self.nt < 2:
+            raise ValueError(f"grid needs nt >= 2, got nt = {self.nt}")
         if self.zoom_nx < 3 or self.zoom_ny < 3:
             raise ValueError("zoom window needs at least 3 nodes per side")
         if not (0 <= self.zoom_ix and self.zoom_ix + self.zoom_nx <= self.nx):
             raise ValueError("zoom window outside the grid in x")
         if not (0 <= self.zoom_iy and self.zoom_iy + self.zoom_ny <= self.ny):
             raise ValueError("zoom window outside the grid in y")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.cfl_number() > 1.0:
             raise ValueError(
                 f"stability bound violated: c*dt*sqrt(1/dx^2+1/dy^2) = "
                 f"{self.cfl_number():.6f} > 1"
             )
+
+
+def _check_divisors(nx: int, ny: int, **positive: float) -> None:
+    """The values the node spacing and the time step divide by, checked before any division."""
+    if nx < 3 or ny < 3:
+        raise ValueError(f"grid needs nx, ny >= 3, got nx = {nx}, ny = {ny}")
+    bad = [f"{k} = {v}" for k, v in positive.items() if not (math.isfinite(v) and v > 0)]
+    if bad:
+        raise ValueError(f"grid needs finite {', '.join(positive)} > 0, got {', '.join(bad)}")
 
 
 def make_grid(
@@ -112,10 +120,7 @@ def make_grid(
     if not 0 < cfl_margin <= 1.0:
         raise ValueError("cfl_margin must be in (0, 1]")
     # checked before the divisions below, which these values would break
-    if nx < 3 or ny < 3:
-        raise ValueError(f"grid needs nx, ny >= 3, got nx = {nx}, ny = {ny}")
-    if not (lx > 0 and ly > 0 and c > 0):
-        raise ValueError(f"grid needs lx, ly, c > 0, got lx = {lx}, ly = {ly}, c = {c}")
+    _check_divisors(nx, ny, lx=lx, ly=ly, c=c)
     dx = 2.0 * lx / (nx - 1)
     dy = 2.0 * ly / (ny - 1)
     dt_max = cfl_margin / (c * math.sqrt(1.0 / dx**2 + 1.0 / dy**2))

@@ -1,14 +1,15 @@
 """CLI dispatch: subcommands, exit codes, determinism contract."""
 
-import dataclasses
 import shutil
+import struct
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from sepconvwave.harness.cli import main
-from sepconvwave.wave import load_dataset, save_dataset
+from sepconvwave.harness.tables import CSV_HEADER
+from sepconvwave.wave import load_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TINY = str(CONFIGS / "tiny.cfg")
@@ -96,15 +97,42 @@ class TestExitCodes:
         assert main(["train", "--config", TINY, "--out", str(out)]) == 2
         assert "train.wds: truncated at byte" in capsys.readouterr().err
 
-    def test_train_on_dataset_disagreeing_with_its_grid_is_runtime_error(self, tmp_path, capsys):
+    def test_train_on_dataset_disagreeing_with_its_grid_is_runtime_error(
+        self, tmp_path, capsys, write_wds
+    ):
         out = tmp_path / "run"
         assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
         train = out / "train.wds"
         ds = load_dataset(train)
-        ds.samples[0] = dataclasses.replace(ds.samples[0], u=ds.samples[0].u[:3])
-        save_dataset(train, ds)
+        rows = [(s.params, s.u, s.v, s.boundary_u, s.boundary_v) for s in ds.samples]
+        rows[0] = (rows[0][0], rows[0][1][:3], *rows[0][2:])
+        write_wds(train, ds.grid, rows)
         assert main(["train", "--config", TINY, "--out", str(out)]) == 2
         assert "train.wds: sample 0 u at byte 128 has shape (3, 8, 8)" in capsys.readouterr().err
+
+    def test_train_on_dataset_with_invalid_grid_block_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
+        train = out / "train.wds"
+        data = bytearray(train.read_bytes())
+        data[32:40] = struct.pack("<d", 0.0)  # dt, the grid block's fourth float64
+        train.write_bytes(bytes(data))
+        assert main(["train", "--config", TINY, "--out", str(out)]) == 2
+        assert "train.wds: grid block: grid needs finite lx, ly, c, dt > 0, got dt = 0.0" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("row, message", [
+        ("FC_t,SL,train_eps_u", "line 3: 3 fields, expected 5"),
+        ("FC_t,SL,train_eps_u,fish,best", "line 3: value 'fish' is not a float"),
+        ("FC_t,SL,params,2.0,best", "line 3: repeated cell FC_t,SL,params"),
+    ], ids=["cut", "not_a_float", "repeated"])
+    def test_tables_on_malformed_results_is_runtime_error(self, tmp_path, capsys, row, message):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "results.csv").write_text(f"{CSV_HEADER}\nFC_t,SL,params,1.0,best\n{row}\n")
+        assert main(["tables", "--config", TINY, "--out", str(out)]) == 2
+        assert f"results.csv: {message}" in capsys.readouterr().err
+        assert not (out / "tables.txt").exists()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -20,7 +20,7 @@ from sepconvwave.harness import (
     parse_regularization,
     zero_baseline,
 )
-from sepconvwave.harness.tables import parse_results_csv, results_to_csv
+from sepconvwave.harness.tables import CSV_HEADER, parse_results_csv, results_to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,6 +84,16 @@ class TestTables:
         table = classify_table([ResultCell("A", "Basic", "m", 123.0)], threshold=0.5)
         assert table[0].klass == "best"
 
+    @pytest.mark.parametrize("values, classes", [
+        ([float("nan"), 0.1, 0.2], ["unacceptable", "best", "acceptable"]),
+        ([0.3, float("nan"), 0.1], ["acceptable", "unacceptable", "best"]),
+        ([float("nan"), float("nan")], ["unacceptable", "unacceptable"]),
+    ], ids=["nan_first", "nan_between", "all_nan"])
+    def test_nan_never_best(self, values, classes):
+        # error_indicator gives NaN when no time slice is valid
+        table = classify_table([ResultCell("A", r, "eps", v) for r, v in zip("XYZ", values)], 0.5)
+        assert [c.klass for c in table] == classes
+
     def test_csv_round_trip_identical_values(self):
         table = classify_table(self.cells(), threshold=0.5)
         text = results_to_csv(table)
@@ -105,6 +115,18 @@ class TestTables:
     def test_malformed_csv(self):
         with pytest.raises(ValueError):
             parse_results_csv("not,a,results,file\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("A,BN,eps", r"line 4: 3 fields, expected 5: 'A,BN,eps'"),
+        ("A,BN,eps,0.2,best,extra", r"line 4: 6 fields, expected 5"),
+        ("A,BN,eps,,best", r"line 4: value '' is not a float"),
+        ("A,Basic,eps,0.2,best", r"line 4: repeated cell A,Basic,eps"),
+    ], ids=["cut", "extra", "empty_value", "repeated"])
+    def test_malformed_row_names_its_line(self, row, message):
+        # line 2 is blank: line numbers count every line of the file
+        text = f"{CSV_HEADER}\n\nA,Basic,eps,0.7,unacceptable\n{row}\n"
+        with pytest.raises(ValueError, match=message):
+            parse_results_csv(text)
 
     def test_failed_write_keeps_previous_results(self, tmp_path, monkeypatch):
         import sepconvwave.harness.tables as tables_module

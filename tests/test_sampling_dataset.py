@@ -1,6 +1,5 @@
 """LHS sampling, scaling, dataset generation and the binary format."""
 
-import dataclasses
 import hashlib
 import re
 import struct
@@ -12,12 +11,13 @@ import pytest
 from sepconvwave.harness import ExperimentConfig
 from sepconvwave.wave import (
     Scaler,
+    WaveDataset,
     WaveParams,
+    boundary_index_arrays,
     generate_dataset,
     lhs_sample,
     load_dataset,
     make_grid,
-    make_sample,
     restrict,
     save_dataset,
     solve_wave,
@@ -26,6 +26,15 @@ from sepconvwave.wave import (
 )
 
 UNIT3 = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+FIELDS = ("u", "v", "boundary_u", "boundary_v")
+
+
+def _constant_dataset(grid, values):
+    """One sample per value: its window fields hold that value, its rings zero."""
+    window = np.stack([np.full((grid.nt, grid.zoom_nx, grid.zoom_ny), val) for val in values])
+    ring = np.zeros((len(values), grid.nt, grid.n_boundary))
+    params = (WaveParams(1.0, 0.8, 0.8),) * len(values)
+    return WaveDataset(grid, params, window, window.copy(), ring, ring.copy())
 
 
 class TestLhsSample:
@@ -86,19 +95,7 @@ class TestScaler:
     def test_two_point_data(self):
         assert Scaler._GUARD < 1e-6
         grid = make_grid(nx=16, ny=16, zoom_nx=4, zoom_ny=4, nt=4)
-        from sepconvwave.wave import Sample, WaveDataset
-
-        def const_sample(val):
-            shape_u = (grid.nt, grid.zoom_nx, grid.zoom_ny)
-            return Sample(
-                WaveParams(1.0, 0.8, 0.8),
-                np.full(shape_u, val),
-                np.full(shape_u, val),
-                np.zeros((grid.nt, grid.n_boundary)),
-                np.zeros((grid.nt, grid.n_boundary)),
-            )
-
-        ds = WaveDataset(grid, [const_sample(0.0), const_sample(2.0)])
+        ds = _constant_dataset(grid, [0.0, 2.0])
         scaler = Scaler().fit(ds)
         mean, std = scaler.stats["u"]
         assert mean == 1.0 and std == 1.0
@@ -114,17 +111,7 @@ class TestScaler:
 
     def test_degenerate_spread_guard(self):
         grid = make_grid(nx=16, ny=16, zoom_nx=4, zoom_ny=4, nt=4)
-        from sepconvwave.wave import Sample, WaveDataset
-
-        shape_u = (grid.nt, grid.zoom_nx, grid.zoom_ny)
-        s = Sample(
-            WaveParams(1.0, 0.8, 0.8),
-            np.full(shape_u, 3.0),
-            np.full(shape_u, 3.0),
-            np.zeros((grid.nt, grid.n_boundary)),
-            np.zeros((grid.nt, grid.n_boundary)),
-        )
-        scaler = Scaler().fit(WaveDataset(grid, [s]))
+        scaler = Scaler().fit(_constant_dataset(grid, [3.0]))
         assert scaler.stats["u"] == (3.0, 1.0)
         assert np.all(scaler.transform(np.full(4, 3.0), "u") == 0.0)
 
@@ -132,24 +119,38 @@ class TestScaler:
 class TestDataset:
     def test_sample_fields_consistent(self):
         grid = make_grid(nx=24, ny=24, zoom_nx=8, zoom_ny=8, nt=16)
-        params = WaveParams(8.0, 0.7, -0.6)
-        sample = make_sample(params, grid)
-        full = solve_wave(params, grid)
-        assert np.array_equal(sample.u, restrict(full, grid))
-        assert np.array_equal(
-            sample.v, restrict(velocity_field(full, grid.dt), grid)
-        )
-        assert sample.boundary_u.shape == (grid.nt, grid.n_boundary)
-        assert np.all(np.isfinite(sample.u))
-        assert np.all(sample.u[0] == 0.0)
+        ds = generate_dataset(grid, 3, seed=22)
+        for b, params in enumerate(ds.params):
+            full = solve_wave(params, grid)
+            assert np.array_equal(ds.u[b], restrict(full, grid))
+            assert np.array_equal(ds.v[b], restrict(velocity_field(full, grid.dt), grid))
+        assert ds.boundary_u.shape == ds.boundary_v.shape == (3, grid.nt, grid.n_boundary)
+        assert np.all(np.isfinite(ds.u))
+        assert np.all(ds.u[:, 0] == 0.0)
 
     def test_boundary_trace_matches_zoom_ring(self):
-        from sepconvwave.wave import boundary_index_arrays
-
         grid = make_grid(nx=24, ny=24, zoom_nx=8, zoom_ny=8, nt=16)
-        sample = make_sample(WaveParams(8.0, 0.7, -0.6), grid)
+        ds = generate_dataset(grid, 3, seed=23)
         ii, jj = boundary_index_arrays(grid)
-        assert np.array_equal(sample.boundary_u, sample.u[:, ii, jj])
+        assert np.array_equal(ds.boundary_u, ds.u[:, :, ii, jj])
+        assert np.array_equal(ds.boundary_v, ds.v[:, :, ii, jj])
+
+    def test_stack_is_the_datasets_own_read_only_array(self, tmp_path):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        generated = generate_dataset(grid, 3, seed=24)
+        save_dataset(tmp_path / "data.wds", generated)
+        for ds in (generated, load_dataset(tmp_path / "data.wds")):
+            for field in FIELDS:
+                x = ds.stack(field)
+                assert x is ds.stack(field) and x is getattr(ds, field)
+                assert x.flags.c_contiguous and x.shape[0] == len(ds) == 3
+                # the layout np.stack gives the per-sample views
+                assert x.tobytes() == np.stack([getattr(s, field) for s in ds.samples]).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(ds.samples[1], field)[...] = 0.0
+            assert ds.param_matrix().tolist() == [list(p) for p in ds.params]
 
     def test_sources_outside_zoom(self):
         grid = make_grid(nx=20, ny=20, zoom_nx=8, zoom_ny=8, nt=8)
@@ -248,19 +249,48 @@ class TestDataset:
         with pytest.raises(ValueError, match=rf"padded\.wds: 8 trailing bytes at byte {size}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, value", [("dt", 0.0), ("lx", 0.0), ("c", float("nan"))])
+    def test_invalid_grid_block_rejected_naming_the_file(self, tmp_path, field, value):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        path = tmp_path / "grid.wds"
+        save_dataset(path, generate_dataset(grid, 2, seed=26))
+        data = bytearray(path.read_bytes())
+        # the grid block's four float64 fields follow the 8-byte header
+        at = 8 + 8 * ("lx", "ly", "c", "dt").index(field)
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=rf"grid\.wds: grid block: grid needs finite .* {field} = {value}$"):
+            load_dataset(path)
+
+    def test_zero_sample_count_rejected(self, tmp_path, write_wds):
+        # the generator never writes one; it used to load and fail later, in the scalers
+        path = tmp_path / "empty.wds"
+        write_wds(path, make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8), [])
+        with pytest.raises(ValueError, match=r"empty\.wds: sample count is 0"):
+            load_dataset(path)
+
+    def test_rows_written_field_by_field_match_save_dataset(self, tmp_path, write_wds):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        ds = generate_dataset(grid, 2, seed=25)
+        save_dataset(tmp_path / "saved.wds", ds)
+        write_wds(tmp_path / "written.wds", grid, [(s.params, s.u, s.v, s.boundary_u, s.boundary_v)
+                                                  for s in ds.samples])
+        assert (tmp_path / "written.wds").read_bytes() == (tmp_path / "saved.wds").read_bytes()
+
     @pytest.mark.parametrize("index, field, cut", [(0, "u", 3), (1, "boundary_v", 5)])
-    def test_sample_shape_disagreeing_with_grid_rejected(self, tmp_path, index, field, cut):
+    def test_sample_shape_disagreeing_with_grid_rejected(self, tmp_path, write_wds, index, field, cut):
         # a well-formed file whose sample arrays contradict its grid block
         grid = make_grid(nx=32, ny=32, zoom_nx=16, zoom_ny=16, nt=8)
         ds = generate_dataset(grid, 2, seed=20)
-        good = ds.samples[index]
-        bad = ds.samples[index] = dataclasses.replace(good, **{field: getattr(good, field)[:cut]})
+        rows = [[s.params, *(getattr(s, f) for f in FIELDS)] for s in ds.samples]
+        k = 1 + FIELDS.index(field)
+        bad = rows[index][k] = rows[index][k][:cut]
         path = tmp_path / "bad.wds"
-        save_dataset(path, ds)
+        write_wds(path, grid, rows)
         # header, grid block, sample count, then sample 0's parameters
         first_u = 8 + struct.calcsize("<4d7Q") + 8 + 24
         offset = str(first_u) if (index, field) == (0, "u") else r"\d+"
-        shape = re.escape(str(getattr(bad, field).shape))
+        shape = re.escape(str(bad.shape))
         message = rf"bad\.wds: sample {index} {field} at byte {offset} has shape {shape}"
         with pytest.raises(ValueError, match=message):
             load_dataset(path)

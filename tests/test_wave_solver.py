@@ -1,5 +1,7 @@
 """Wave solver: analytic oracle, boundaries, stability, zoom submodel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,24 @@ class TestRestrictAndBoundary:
     def test_window_out_of_range(self):
         with pytest.raises(ValueError):
             make_grid(nx=16, ny=16, zoom_nx=10, zoom_ny=10, nt=4, zoom_ix=10, zoom_iy=0)
+
+
+class TestGridRule:
+    @pytest.mark.parametrize("field, value", [
+        ("lx", 0.0), ("ly", 0.0), ("lx", float("inf")), ("c", -1.0), ("c", float("nan")),
+        ("dt", 0.0), ("dt", float("nan")),
+    ])
+    def test_validate_rejects_before_dividing(self, field, value):
+        # lx = 0 used to divide by zero in cfl_number; c = -1 and the NaNs passed
+        grid = make_grid(nx=24, ny=24, zoom_nx=8, zoom_ny=8, nt=16)
+        bad = dataclasses.replace(grid, **{field: value})
+        with pytest.raises(ValueError, match=rf"grid needs finite lx, ly, c, dt > 0, got {field} = {value}$"):
+            bad.validate()
+
+    @pytest.mark.parametrize("field, value", [("lx", float("inf")), ("ly", -1.0), ("c", float("nan"))])
+    def test_make_grid_states_the_same_rule(self, field, value):
+        with pytest.raises(ValueError, match=rf"grid needs finite lx, ly, c > 0, got {field} = {value}$"):
+            make_grid(nx=24, ny=24, zoom_nx=8, zoom_ny=8, nt=16, **{field: value})
 
 
 class TestSubmodelSolve:
