@@ -155,20 +155,16 @@ def _mean_epoch_seconds(cell_dir: Path) -> float | None:
     return float(np.mean(seconds[1:]))  # epoch 1 excluded as warm-up
 
 
-def _evaluate_cells(cfg, specs, train_ds, test_ds, scaler, pscaler, require_all=True):
+def _evaluate_cells(cfg, specs, train_ds, test_ds, scaler, pscaler):
     cells = []
     grid = train_ds.grid
-    if not require_all:
-        specs = [s for s in specs if (Path(cfg.outdir) / s.cell_key() / "checkpoint.scnn").exists()]
-        if not specs:
-            raise FileNotFoundError(f"no trained cells under {cfg.outdir}; run `train` or `sweep`")
+    specs = [s for s in specs if (Path(cfg.outdir) / s.cell_key() / "checkpoint.scnn").exists()]
+    if not specs:
+        raise FileNotFoundError(f"no trained cells under {cfg.outdir}; run `train` or `sweep`")
     for spec in specs:
         cell_dir = Path(cfg.outdir) / spec.cell_key()
-        ckpt = cell_dir / "checkpoint.scnn"
-        if not ckpt.exists():
-            raise FileNotFoundError(f"{ckpt} not found; run `train` or `sweep` first")
         model = build_model(spec, grid, cfg.zoo_widths, seed=cfg.seed)
-        load_model(ckpt, model)
+        load_model(cell_dir / "checkpoint.scnn", model)
         reg = format_regularization(spec.regularization)
 
         def add(metric, value):
@@ -193,7 +189,7 @@ def cmd_evaluate(cfg) -> None:
     specs = cfg.sweep_cells()
     if cfg.cell() not in specs:
         specs.append(cfg.cell())
-    cells = _evaluate_cells(cfg, specs, *_load_data(cfg), require_all=False)
+    cells = _evaluate_cells(cfg, specs, *_load_data(cfg))
     paths = emit_tables(cells, cfg.threshold, cfg.outdir)
     print(f"wrote {paths['csv']} and {paths['text']}")
 

@@ -133,6 +133,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.grid()  # grid invariants (CFL, window) checked at construction
+        if self.nt < 3:  # the velocity field's differences need three time steps
+            raise ValueError(f"[grid] nt must be >= 3, got {self.nt}")
+        # a wider box clamps sources onto the walls, where the solver drops them
+        for key, extent in (("source_half_x", self.lx), ("source_half_y", self.ly)):
+            value = getattr(self, key)
+            if not 0 <= value <= extent:
+                raise ValueError(f"[sampling] {key} must be in [0, {extent}], got {value}")
         resolve_widths(self.zoo_widths)
         self.cell()
         self.sweep_cells()

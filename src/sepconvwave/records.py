@@ -26,8 +26,9 @@ __all__ = ["atomic_write", "write_header", "write_array", "RecordReader"]
 def atomic_write(path):
     """Binary file handle whose bytes replace ``path`` only once all are written.
 
-    The bytes go to a temporary file in the same directory, which
-    ``os.replace`` renames onto ``path`` when the block ends; if the
+    The bytes go to a temporary file in the same directory, which is
+    flushed and fsynced before ``os.replace`` renames it onto ``path``,
+    so even an OS crash never leaves a short file under that name; if the
     block raises, the temporary file is removed and ``path`` is untouched.
     """
     path = os.fspath(path)
@@ -35,6 +36,8 @@ def atomic_write(path):
     try:
         with open(tmp, "xb") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,9 +51,9 @@ def write_header(fh, magic: bytes, version: int) -> None:
 
 
 def write_array(fh, array: np.ndarray) -> None:
-    data = np.asarray(array, dtype="<f8")
+    data = np.asarray(array, dtype="<f8", order="C")
     fh.write(struct.pack(f"<Q{data.ndim}Q", data.ndim, *data.shape))
-    fh.write(data.tobytes())
+    fh.write(data)
 
 
 class RecordReader:
@@ -92,10 +95,11 @@ class RecordReader:
             raise ValueError(f"{self.path}: unsupported {kind} version {found}")
 
     def array(self, what: str = "tensor") -> np.ndarray:
+        """The next tensor record as a read-only float64 array over the bytes read."""
         (rank,) = self.unpack("<Q", f"{what} rank")
         shape = struct.unpack(f"<{rank}Q", self.take(8 * rank, f"{what} extents"))
         data = self.take(8 * math.prod(shape), f"{what} data")
-        return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64, copy=False)
 
     def finish(self) -> None:
         """Reject bytes after the last record."""

@@ -10,7 +10,6 @@ from .dataset import (
 from .grid import GridSpec, boundary_index_arrays, extract_boundary, make_grid, restrict
 from .sampling import WaveParams, lhs_sample
 from .solver import (
-    energy_series,
     solve_wave,
     solve_zoom,
     source_node,
@@ -27,7 +26,6 @@ __all__ = [
     "WaveParams",
     "boundary_index_arrays",
     "default_bounds",
-    "energy_series",
     "extract_boundary",
     "generate_dataset",
     "lhs_sample",

@@ -10,9 +10,9 @@ source ``f = sin(omega t)`` at the grid node nearest each sample's
 source coordinates, scaled by ``1/(dx dy)`` as a discrete Dirac (a
 source on a wall node is dropped for that sample).  The zoom submodel
 gives it the window grid with the ring set from boundary traces.  A
-single-sample call (:func:`solve_wave`, :func:`submodel_solve`) is a
-block of one.  Every elementwise operation runs in the same order for
-any block size, so a sample's result does not depend on its block.
+single-sample call is a block of one, and :func:`solve_zoom` sizes its
+blocks to the cache.  Every elementwise operation runs in the same order
+for any block size, so a sample's result does not depend on its block.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ __all__ = [
     "submodel_solve",
     "submodel_solve_batch",
     "velocity_field",
-    "energy_series",
     "source_node",
 ]
 
+# bytes of the two time levels and two interior temporaries per block of
+# full solves: half of a 2 MB L2, so the block's working set stays in cache
+_BLOCK_BYTES = 1 << 20
 _INNER = (slice(None), slice(1, -1), slice(1, -1))
 
 
@@ -131,12 +133,15 @@ def solve_zoom(params: Sequence[WaveParams], grid: GridSpec) -> np.ndarray:
 
     Gives ``[B, nt, zoom_nx, zoom_ny]``, equal to :func:`solve_wave`
     restricted to the window, sample by sample.  No sample's
-    ``[nt, nx, ny]`` history is built: the working set is two time
-    levels of the block, so callers size blocks to stay in cache.
+    ``[nt, nx, ny]`` history is built: the samples are stepped in blocks
+    sized to ``_BLOCK_BYTES``, each written straight into its rows.
     """
     out = np.empty((len(params), grid.nt, grid.zoom_nx, grid.zoom_ny))
-    _full_solve(params, grid, np.zeros((len(params), grid.nx, grid.ny)), out,
-                (grid.zoom_ix, grid.zoom_iy))
+    block = max(1, _BLOCK_BYTES // (4 * grid.nx * grid.ny * 8))
+    for start in range(0, len(params), block):
+        rows = slice(start, start + block)
+        _full_solve(params[rows], grid, np.zeros((len(out[rows]), grid.nx, grid.ny)), out[rows],
+                    (grid.zoom_ix, grid.zoom_iy))
     return out
 
 
@@ -197,18 +202,3 @@ def velocity_field(u: np.ndarray, dt: float) -> np.ndarray:
         raise ValueError("velocity_field needs at least 3 time steps")
     return np.gradient(u, dt, axis=-3, edge_order=1)
 
-
-def energy_series(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Discrete energy ``sum((u_t/c)^2 + |grad u|^2) dx dy`` per step.
-
-    Time derivative by central differences, gradient by forward
-    differences; defined on steps ``1 .. nt-2``.
-    """
-    dx, dy, dt, c = grid.dx, grid.dy, grid.dt, grid.c
-    ut = (u[2:] - u[:-2]) / (2.0 * dt)
-    mid = u[1:-1]
-    gx = (mid[:, 1:, :] - mid[:, :-1, :]) / dx
-    gy = (mid[:, :, 1:] - mid[:, :, :-1]) / dy
-    kinetic = np.sum((ut / c) ** 2, axis=(1, 2))
-    potential = np.sum(gx**2, axis=(1, 2)) + np.sum(gy**2, axis=(1, 2))
-    return (kinetic + potential) * dx * dy

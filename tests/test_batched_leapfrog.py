@@ -25,7 +25,7 @@ from sepconvwave.wave import (
     submodel_solve_batch,
     velocity_field,
 )
-from sepconvwave.wave import dataset as dataset_module
+from sepconvwave.wave import solver as solver_module
 
 FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
@@ -53,7 +53,7 @@ class TestBlockedGeneration:
     def test_default_block_not_dividing_the_count(self):
         # a desk-sized domain gives blocks of several samples; 11 is not a multiple
         grid = make_grid(nx=64, ny=64, zoom_nx=16, zoom_ny=16, nt=12)
-        block = dataset_module._BLOCK_BYTES // (4 * grid.nx * grid.ny * 8)
+        block = solver_module._BLOCK_BYTES // (4 * grid.nx * grid.ny * 8)
         assert 1 < block < 11 and 11 % block != 0
         ds = generate_dataset(grid, 11, seed=5)
         _same_samples(ds.samples, _one_at_a_time(ds.params, grid))
@@ -61,10 +61,17 @@ class TestBlockedGeneration:
     def test_small_budget_gives_the_same_samples(self, monkeypatch):
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=14)
         whole = generate_dataset(grid, 11, seed=6)
-        monkeypatch.setattr(dataset_module, "_BLOCK_BYTES", 4 * (4 * grid.nx * grid.ny * 8))
+        monkeypatch.setattr(solver_module, "_BLOCK_BYTES", 4 * (4 * grid.nx * grid.ny * 8))
         blocked = generate_dataset(grid, 11, seed=6)
         _same_samples(blocked.samples, whole.samples)
         _same_samples(blocked.samples, _one_at_a_time(whole.params, grid))
+
+    def test_one_sample_per_block_gives_the_same_bytes(self, monkeypatch):
+        grid = make_grid(nx=64, ny=64, zoom_nx=16, zoom_ny=16, nt=12)
+        params = generate_dataset(grid, 7, seed=8).params
+        default = solve_zoom(params, grid)
+        monkeypatch.setattr(solver_module, "_BLOCK_BYTES", 4 * grid.nx * grid.ny * 8)
+        assert solve_zoom(params, grid).tobytes() == default.tobytes()
 
     def test_wall_source_dropped_for_its_sample_only(self):
         grid = make_grid(nx=16, ny=16, zoom_nx=6, zoom_ny=6, nt=20)

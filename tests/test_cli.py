@@ -76,7 +76,12 @@ class TestExitCodes:
         ("[grid]\n", "[grid]\nlx = 0\n"),
         ("[training]\n", "[training]\ndecay = true\nlr_final = -1e-4\n"),
         ("[training]\n", "[training]\nbatch_size = -1\n"),
-    ], ids=["nx", "c", "lx", "lr_final", "batch_size"])
+        ("\nnt = 16\n", "\nnt = 2\n"),
+        ("[sampling]\n", "[sampling]\nsource_half_x = 3.0\n"),
+        ("[sampling]\n", "[sampling]\nsource_half_x = -0.5\n"),
+        ("[sampling]\n", "[sampling]\nsource_half_y = nan\n"),
+    ], ids=["nx", "c", "lx", "lr_final", "batch_size", "nt", "source_half_x_wide",
+            "source_half_x_negative", "source_half_y_nan"])
     def test_invalid_value_is_one_configuration_error_line(self, tmp_path, capsys, old, new):
         # a degenerate grid used to divide by zero before any check ran
         bad = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
-"""Model composition, Adam, schedules, losses, checkpoints."""
+"""Model composition, Adam, schedules, losses, checkpoints, durable writes."""
 
+import os
 import re
 import struct
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from sepconvwave.harness import ExperimentConfig, VariantSpec, build_model
+from sepconvwave.harness.tables import atomic_write_text
 from sepconvwave.nn import (
     Adam,
     BatchNorm,
@@ -23,6 +25,7 @@ from sepconvwave.nn import (
     mse_grad,
 )
 from sepconvwave.nn.checkpoint import load_tensors, save_model, save_tensors, load_model
+from sepconvwave.wave import generate_dataset, make_grid, save_dataset
 
 
 def two_head_model(seed=0, shared=True):
@@ -256,6 +259,25 @@ class TestCheckpoint:
             assert np.array_equal(loaded[name], tensors[name])
             assert loaded[name].tobytes() == tensors[name].tobytes()
 
+    def test_loaded_tensors_are_read_only_and_bit_equal(self, tmp_path):
+        # the reader hands out views of the bytes it read; writes go through load_state_dict
+        rng = np.random.default_rng(59)
+        tensors = {
+            "scalar": np.array(-0.0),
+            "empty": np.zeros((0, 3)),
+            "transposed": rng.standard_normal((3, 5)).T,
+            "nan_payload": np.frombuffer(struct.pack("<2Q", 0x7FF8000000000123, 1), dtype="<f8"),
+        }
+        path = tmp_path / "model.scnn"
+        save_tensors(path, tensors)
+        loaded = load_tensors(path)
+        for name, array in tensors.items():
+            assert loaded[name].dtype == np.float64 and loaded[name].shape == array.shape, name
+            assert loaded[name].tobytes() == array.tobytes(), name
+            assert not loaded[name].flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                loaded[name][...] = 1.0
+
     def test_same_bytes_on_rewrite(self, tmp_path):
         rng = np.random.default_rng(58)
         tensors = {"x": rng.standard_normal((5, 5))}
@@ -415,3 +437,32 @@ class TestCheckedLoad:
             with pytest.raises(ValueError, match=rf"bad\.scnn: shape mismatch for '{re.escape(name)}'"):
                 load_model(path, target)
             assert _state_bytes(target) == before, name
+
+
+@pytest.mark.parametrize("writer", [
+    lambda path: save_dataset(path, generate_dataset(make_grid(nx=12, ny=12, zoom_nx=4,
+                                                               zoom_ny=4, nt=6), 2, seed=0)),
+    lambda path: save_model(path, _tiny_bn_model(seed=0)),
+    lambda path: atomic_write_text(path, "epoch,seconds\n0,1.0\n"),
+], ids=["save_dataset", "save_model", "atomic_write_text"])
+def test_file_is_fsynced_whole_before_it_is_renamed(tmp_path, monkeypatch, writer):
+    # an OS crash after an unsynced rename can leave a short file under the final name
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        stat = os.fstat(fd)
+        events.append(("fsync", stat.st_ino, stat.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "out.bin"
+    writer(path)
+    # one fsync of the temporary file, already holding every byte, then its rename
+    assert [kind for kind, *_ in events] == ["fsync", "replace"]
+    assert events[0][1:] == events[1][1:] == (path.stat().st_ino, path.stat().st_size)

@@ -9,7 +9,6 @@ from sepconvwave.wave import (
     GridSpec,
     WaveParams,
     boundary_index_arrays,
-    energy_series,
     extract_boundary,
     make_grid,
     restrict,
@@ -18,6 +17,22 @@ from sepconvwave.wave import (
     submodel_solve,
     velocity_field,
 )
+
+
+def energy_series(u, grid):
+    """Discrete energy ``sum((u_t/c)^2 + |grad u|^2) dx dy`` per step.
+
+    Time derivative by central differences, gradient by forward
+    differences; defined on steps ``1 .. nt-2``.
+    """
+    dx, dy, dt, c = grid.dx, grid.dy, grid.dt, grid.c
+    ut = (u[2:] - u[:-2]) / (2.0 * dt)
+    mid = u[1:-1]
+    gx = (mid[:, 1:, :] - mid[:, :-1, :]) / dx
+    gy = (mid[:, :, 1:] - mid[:, :, :-1]) / dy
+    kinetic = np.sum((ut / c) ** 2, axis=(1, 2))
+    potential = np.sum(gx**2, axis=(1, 2)) + np.sum(gy**2, axis=(1, 2))
+    return (kinetic + potential) * dx * dy
 
 
 def standing_mode(grid):
