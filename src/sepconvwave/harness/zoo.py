@@ -62,6 +62,10 @@ def resolve_widths(overrides: dict | None = None) -> dict[str, int]:
         if unknown:
             raise ValueError(f"unknown zoo width keys: {sorted(unknown)}")
         widths.update({k: int(v) for k, v in overrides.items()})
+    # every width is a count, an extent or a factor
+    for key, value in widths.items():
+        if value < 1:
+            raise ValueError(f"[zoo] {key} must be >= 1, got {value}")
     return widths
 
 

@@ -47,17 +47,18 @@ one, and the kernel contracted with its axes' bands is a dense operator
 ``A[n_f, out, in]``, with ``n_f * prod(f*n - k + 1) * prod(n)`` entries.
 
 * Stage 0 (all of ``Conv``, and the first stage of every separable
-  layer) reads the input shared by every filter.  One ``einsum``
-  contraction over a read-only sliding-window view gives the forward
-  pass and, with the output gradient in the kernel's place, the kernel
-  gradient; its adjoint, a scatter-add of taps (col2im), gives the input
-  gradient.  The repeat enters in polyphase form: output phase p < f is
-  a valid correlation of the un-repeated signal with the merged kernel,
-  row p of the band operator, which has ``(p + k - 1) // f + 1`` taps
-  (at f = 2, 7 taps become 4 and 5 become 3).  The contraction writes
-  each phase right after its output position, so one reshape is the
-  interleave (depth-to-space) before the crop to ``f * n - k + 1``, and
-  the kernel gradient is the band operator's adjoint.
+  layer) reads the input shared by every filter.  Its geometry is
+  planned once per input shape, kernel shape and factors
+  (:func:`_stage0_plan`), and every call executes the plan.  One
+  ``einsum`` contraction over a read-only sliding-window view gives the
+  forward pass and, with the output gradient in the kernel's place, the
+  kernel gradient; its adjoint, a scatter-add of taps (col2im), gives the
+  input gradient.  The repeat enters in polyphase form: output phase
+  p < f is a valid correlation of the un-repeated signal with the merged
+  kernel, row p of the band operator, which has ``(p + k - 1) // f + 1``
+  taps (at f = 2, 7 taps become 4 and 5 become 3).  Each phase is
+  written right after its output position, so one reshape interleaves
+  them (depth-to-space) before the crop to ``f * n - k + 1``.
 * A depthwise stage (every later stage; each filter convolves its own
   slice) is the whole band operator, one small dense matrix per filter,
   applied by a batched matrix product.  The forward pass is ``z @ A^T``,
@@ -75,6 +76,8 @@ contraction (36 merged taps per output).
 from __future__ import annotations
 
 import functools
+import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -142,72 +145,9 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-# batch-chunked windows: every window copy that stage 0 materialises
-# stays below this many float64s (depthwise stages copy no windows)
+# every window copy that stage 0 materialises stays below this many
+# float64s, in batch chunks fixed when its plan is built
 _CHUNK_BUDGET = 8_000_000
-
-
-def _batch_chunks(n_batch: int, per_sample_elements: int):
-    step = max(1, _CHUNK_BUDGET // max(per_sample_elements, 1))
-    for start in range(0, n_batch, step):
-        yield start, min(start + step, n_batch)
-
-
-def _subscripts(ndim: int, g: int) -> tuple[str, str, str]:
-    """einsum subscripts ``(windows, kernel, output)`` of stage 0's correlation.
-
-    The correlation runs over the trailing ``g`` axes of an ``ndim``-axis
-    input shared by every filter.  The kernel is ``[n_f, *phases, *taps]``
-    and the output ``[batch, n_f, *rest, q1, p1, q2, p2, ...]``: each
-    phase axis right after its position axis, so merging each pair
-    interleaves the phases (depth-to-space).
-    """
-    rest = "ghi"[: ndim - g - 1]
-    out, phases, taps = "lmn"[:g], "stu"[:g], "pqr"[:g]
-    placed = "".join(q + p for q, p in zip(out, phases))
-    return "b" + rest + out + taps, "f" + phases + taps, "bf" + rest + placed
-
-
-def _correlate(z: np.ndarray, taps, operand: np.ndarray, kernel_grad: bool = False) -> np.ndarray:
-    """Stage 0's windowed contraction over the trailing axes of ``z``.
-
-    Forward: ``operand`` is the kernel ``[n_f, *phases, *taps]`` and the
-    result the valid correlation of every phase, laid out as
-    :func:`_subscripts` says.  With ``kernel_grad`` the operand is that
-    result's gradient and the result is the kernel gradient: the same
-    contraction, output and kernel swapped.  Both contract over the taps
-    as a matrix product on a window copy.
-    """
-    win, ker, out = _subscripts(z.ndim, len(taps))
-    spec = f"{win},{out}->{ker}" if kernel_grad else f"{win},{ker}->{out}"
-    windows = sliding_window_view(z, taps, axis=tuple(range(z.ndim - len(taps), z.ndim)))
-    parts = [
-        np.einsum(spec, windows[a:b], operand[a:b] if kernel_grad else operand, optimize=True)
-        for a, b in _batch_chunks(len(z), windows[0].size)
-    ]
-    return sum(parts) if kernel_grad else np.concatenate(parts)
-
-
-def _correlate_input_grad(grad: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_correlate` in its input: a scatter-add of taps (col2im).
-
-    The contraction with the kernel spreads every output-gradient entry
-    over the taps of its window, laid out taps first, so folding them onto
-    the input adds one contiguous slab per tap.
-    """
-    g = (kernel.ndim - 1) // 2
-    taps = kernel.shape[1 + g:]
-    win, ker, out = _subscripts(grad.ndim - 1 - g, g)
-    spec = f"{out},{ker}->{ker[1 + g:]}{win[:-g]}"
-    out_sp = grad.shape[-2 * g::2]
-    lead = grad.shape[:1] + grad.shape[2:-2 * g]
-    gin = np.zeros(lead + tuple(n + k - 1 for n, k in zip(out_sp, taps)))
-    for a, b in _batch_chunks(len(grad), int(np.prod(taps + lead[1:] + out_sp))):
-        cols = np.einsum(spec, grad[a:b], kernel, optimize=True)
-        for tap in np.ndindex(*taps):
-            window = tuple(slice(t, t + n) for t, n in zip(tap, out_sp))
-            gin[(slice(a, b), Ellipsis) + window] += cols[tap]
-    return gin
 
 
 @functools.lru_cache(maxsize=256)
@@ -219,7 +159,7 @@ def _band(k: int, f: int, n: int) -> np.ndarray:
     ``[k, f * n - k + 1, n]``.  So ``sum_t K[t] S[t]`` is the correlation
     of the repeated signal with ``K``, as a matrix on the un-repeated one.
     Row ``p < f`` of that matrix is output phase p's merged kernel, which
-    :func:`_polyphase` reads with ``n`` the longest phase's tap count,
+    :func:`_stage0_plan` reads with ``n`` the longest phase's tap count,
     ``(f + k - 2) // f + 1``.  Read-only, because every caller shares it.
     """
     t, o = np.ogrid[:k, :f * n - k + 1]
@@ -256,55 +196,117 @@ def _band_operator_adjoint(grad: np.ndarray, bands) -> np.ndarray:
     return out
 
 
+class _Stage0(NamedTuple):
+    """Stage 0's geometry for one input shape, kernel shape and factor tuple.
+
+    The input ``[batch, *rest, *small]`` is correlated over its trailing
+    axes with the merged kernels ``[n_f, *phases, *taps]``; a factor-1
+    axis has one phase and no phase axis.  The output is ``[batch, n_f,
+    *rest, q1, p1, q2, p2, ...]``, each phase axis after its position
+    axis.  It holds only shapes, slices and the shared read-only bands.
+    """
+
+    taps: tuple  # merged taps per axis, the longest phase's: (f + k - 2) // f + 1
+    bands: tuple  # each axis's first f band rows: the phases' merged kernels
+    phase_shape: tuple  # the merged kernels, [n_f, *phases, *taps]
+    pad: tuple  # np.pad widths of the input, () if none
+    axes: tuple  # the correlated (trailing) axes of the input
+    forward: str  # einsum subscripts: windows, merged kernels -> output
+    kernel_grad: str  # windows, output gradient -> merged kernels' gradient
+    input_grad: str  # output gradient, merged kernels -> columns, taps first
+    chunks: tuple  # batch slices whose window copies stay below _CHUNK_BUDGET
+    interleaved: tuple  # the output with each phase merged into its position
+    crop: tuple  # index of the f * n - k + 1 valid outputs per axis
+    grad_pad: tuple  # np.pad widths of the output gradient over the cropped phases
+    positions: tuple  # the padded gradient as (position, phase) pairs
+    padded: tuple  # the padded input's shape, onto which col2im scatters
+    slabs: tuple  # (tap, input slab) pairs of the col2im scatter-add
+    unpad: tuple  # index of the un-padded input within ``padded``
+
+
+@functools.lru_cache(maxsize=256)
+def _stage0_plan(shape, kernel_shape, factors) -> _Stage0:
+    """The :class:`_Stage0` record of these shapes, worked out once and shared."""
+    g, extents = len(factors), kernel_shape[1:]
+    lead, small = shape[:-g], shape[-g:]
+    taps = tuple((f + k - 2) // f + 1 for f, k in zip(factors, extents))
+    # a phase one tap shorter than the longest reads one entry past the end
+    pad = tuple(t - (k - 1) // f - 1 for f, k, t in zip(factors, extents, taps))
+    padded = lead + tuple(n + p for n, p in zip(small, pad))
+    n_out = tuple(n - t + 1 for n, t in zip(padded[-g:], taps))
+    valid = tuple(f * n - k + 1 for f, n, k in zip(factors, small, extents))
+    extra = tuple(f * n - v for f, n, v in zip(factors, n_out, valid))
+    phases = tuple((f,) if f > 1 else () for f in factors)
+    rest, out, tap = "ghi"[: len(shape) - g - 1], "lmn"[:g], "pqr"[:g]
+    phase = tuple(p * len(f) for p, f in zip("stu", phases))
+    win, ker = "b" + rest + out + tap, "f" + "".join(phase) + tap
+    res = "bf" + rest + "".join(q + p for q, p in zip(out, phase))
+    step = max(1, _CHUNK_BUDGET // max(math.prod(padded[1:-g] + n_out + taps), 1))
+    head = (shape[0], kernel_shape[0]) + lead[1:]
+    return _Stage0(
+        taps=taps,
+        bands=tuple(_band(k, f, t)[:, :f] for k, f, t in zip(extents, factors, taps)),
+        phase_shape=kernel_shape[:1] + sum(phases, ()) + taps,
+        pad=tuple((0, p) for p in (0,) * len(lead) + pad) if any(pad) else (),
+        axes=tuple(range(len(shape) - g, len(shape))),
+        forward=f"{win},{ker}->{res}",
+        kernel_grad=f"{win},{res}->{ker}",
+        input_grad=f"{res},{ker}->{tap}{win[:-g]}",
+        chunks=tuple(slice(a, a + step) for a in range(0, shape[0], step)),
+        interleaved=head + tuple(f * n for f, n in zip(factors, n_out)),
+        crop=(Ellipsis,) + tuple(slice(n) for n in valid),
+        grad_pad=tuple((0, p) for p in (0,) * len(head) + extra) if any(extra) else (),
+        positions=head + sum(((n,) + f for n, f in zip(n_out, phases)), ()),
+        padded=padded,
+        slabs=tuple((t, (Ellipsis,) + tuple(slice(i, i + n) for i, n in zip(t, n_out)))
+                    for t in np.ndindex(*taps)),
+        unpad=(Ellipsis,) + tuple(slice(n) for n in small),
+    )
+
+
 def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
     """Stage 0: valid correlation of ``z`` repeated ``factors``-fold along its trailing axes.
 
-    The repeat is never built.  Output phase ``p`` (the output index modulo
-    the factor, per axis) is a valid correlation of ``z`` itself with that
-    phase's merged kernel, row p of the kernel's band operator
-    (:func:`_band`).  One contraction writes every phase next to its
-    position, so one reshape interleaves them (depth-to-space) before the
-    crop to ``f * n - k + 1``.  With every factor 1 there is one phase,
-    whose merged kernel is the kernel.  Returns the output and the plan
-    that :func:`_polyphase_backward` reuses.
+    Executes :func:`_stage0_plan`'s geometry (see the module docstring):
+    the merged kernels from ``kernel``, one contraction per batch chunk
+    over a sliding-window view, one reshape to interleave the phases and
+    one slice to crop.  Returns the output and ``(input, merged kernels,
+    plan)`` for :func:`_polyphase_backward`.
     """
-    g = len(factors)
-    taps = tuple((f + k - 2) // f + 1 for f, k in zip(factors, kernel.shape[1:]))
-    bands = [_band(k, f, t)[:, :f] for k, f, t in zip(kernel.shape[1:], factors, taps)]
-    phase = _band_operator(kernel, bands).reshape((len(kernel),) + tuple(factors) + taps)
-    small = z.shape[-g:]
-    # a phase one tap shorter than the longest reads one entry past the end
-    pad = [t - (k - 1) // f - 1 for f, k, t in zip(factors, kernel.shape[1:], taps)]
-    if any(pad):
-        z = np.pad(z, [(0, 0)] * (z.ndim - g) + [(0, n) for n in pad])
-    y = _correlate(z, taps, phase)
-    y = y.reshape(y.shape[:-2 * g] + tuple(n * f for n, f in zip(y.shape[-2 * g::2], factors)))
-    crop = tuple(slice(f * n - k + 1) for f, n, k in zip(factors, small, kernel.shape[1:]))
-    return y[(Ellipsis,) + crop], (z, bands, phase, small)
+    plan = _stage0_plan(z.shape, kernel.shape, factors)
+    phase = _band_operator(kernel, plan.bands).reshape(plan.phase_shape)
+    if plan.pad:
+        z = np.pad(z, plan.pad)
+    windows = sliding_window_view(z, plan.taps, axis=plan.axes)
+    y = np.concatenate([np.einsum(plan.forward, windows[rows], phase, optimize=True)
+                        for rows in plan.chunks])
+    return y.reshape(plan.interleaved)[plan.crop], (z, phase, plan)
 
 
-def _polyphase_backward(grad: np.ndarray, plan):
+def _polyphase_backward(grad: np.ndarray, stage):
     """Kernel and input gradients of :func:`_polyphase`, the input's un-repeated.
 
-    The output gradient is zero-padded over the cropped phases and viewed
-    as (position, phase) pairs (space-to-depth), the layout of the
-    forward's contraction.  The merged kernels' gradient is the band
-    operator's gradient, so :func:`_band_operator_adjoint` scatter-adds
-    it onto the kernel's taps; the input gradients of the phases add up
-    on ``z``.
+    Executes the forward's plan.  The output gradient, zero-padded over
+    the cropped phases, is viewed as (position, phase) pairs
+    (space-to-depth).  The merged kernels' gradient is the forward's
+    contraction with the gradient in the kernel's place, scatter-added
+    onto the kernel's taps by :func:`_band_operator_adjoint`; the input
+    gradient is the contraction's adjoint, adding the phases up on ``z``.
     """
-    z, bands, phase, small = plan
-    g = len(bands)
-    factors, taps = phase.shape[1:1 + g], phase.shape[1 + g:]
-    n_out = tuple(n - t + 1 for n, t in zip(z.shape[-g:], taps))
-    extra = [f * n - L for f, n, L in zip(factors, n_out, grad.shape[-g:])]
-    if any(extra):
-        grad = np.pad(grad, [(0, 0)] * (grad.ndim - g) + [(0, n) for n in extra])
-    grad = grad.reshape(grad.shape[:-g] + tuple(n for nf in zip(n_out, factors) for n in nf))
-    dphase = _correlate(z, taps, grad, kernel_grad=True)
-    gin = _correlate_input_grad(grad, phase)
-    dkernel = _band_operator_adjoint(dphase.reshape(len(phase), -1), bands)
-    return dkernel, gin[(Ellipsis,) + tuple(slice(n) for n in small)]
+    z, phase, plan = stage
+    if plan.grad_pad:
+        grad = np.pad(grad, plan.grad_pad)
+    grad = grad.reshape(plan.positions)
+    windows = sliding_window_view(z, plan.taps, axis=plan.axes)
+    dphase = sum([np.einsum(plan.kernel_grad, windows[rows], grad[rows], optimize=True)
+                  for rows in plan.chunks])
+    gin = np.zeros(plan.padded)
+    for rows in plan.chunks:
+        cols = np.einsum(plan.input_grad, grad[rows], phase, optimize=True)
+        part = gin[rows]
+        for tap, slab in plan.slabs:
+            part[slab] += cols[tap]
+    return _band_operator_adjoint(dphase.reshape(len(dphase), -1), plan.bands), gin[plan.unpad]
 
 
 def _banded(z: np.ndarray, kernel: np.ndarray, factors):

@@ -123,6 +123,24 @@ def test_eval_forward_frees_each_stage_input_when_the_stage_is_done(name, monkey
     assert all(ref() is None for ref in kept)
 
 
+@pytest.mark.parametrize("name", ["Conv2D", "Conv3D", "Conv2.5D", "Conv2.5Db", "Conv1.5D_Boundary"])
+def test_stage0_geometry_is_planned_once_per_shape(name):
+    # a second training step and a second eval forward at the same batch
+    # reuse the stage-0 plans that the first ones built
+    model = _model(name, "BN")
+    x = np.random.default_rng(1).standard_normal((3,) + model.input_shape)
+
+    def step_and_eval():
+        model.backward(_grads(model.forward(x, training=True), 2))
+        model.forward(x, training=False)
+
+    step_and_eval()
+    before = layers._stage0_plan.cache_info()
+    step_and_eval()
+    after = layers._stage0_plan.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+
+
 def _freeze_incoming_gradients(model):
     for layer in model.all_layers():
         def frozen(grad, backward=layer.backward):

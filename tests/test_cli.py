@@ -80,8 +80,10 @@ class TestExitCodes:
         ("[sampling]\n", "[sampling]\nsource_half_x = 3.0\n"),
         ("[sampling]\n", "[sampling]\nsource_half_x = -0.5\n"),
         ("[sampling]\n", "[sampling]\nsource_half_y = nan\n"),
+        ("conv3d.nf = 4", "conv3d.nf = 0"),
+        ("conv3d.up_t = 2", "conv3d.up_t = 0"),
     ], ids=["nx", "c", "lx", "lr_final", "batch_size", "nt", "source_half_x_wide",
-            "source_half_x_negative", "source_half_y_nan"])
+            "source_half_x_negative", "source_half_y_nan", "zoo_nf_zero", "zoo_up_t_zero"])
     def test_invalid_value_is_one_configuration_error_line(self, tmp_path, capsys, old, new):
         # a degenerate grid used to divide by zero before any check ran
         bad = tmp_path / "bad.cfg"

@@ -1,13 +1,13 @@
 """The two engines behind Conv and SeparableConv.
 
 Stage 0 is a windowed contraction: its batch-chunked path is forced by
-lowering the chunk budget and checked against the one-chunk result and
-the ``conv_valid`` oracle.  A depthwise stage is one banded operator per
-filter, and stage 0 reads an upsample through the same band's rows
-(polyphase form): both are checked against ``conv_valid`` on an
-explicit repeat of their input.  A property test checks every grouping
-of the separable layer against the full convolution loaded with its
-equivalent kernels.
+lowering the chunk budget before its plan is built, and checked against
+the one-chunk result and the ``conv_valid`` oracle.  A depthwise stage
+is one banded operator per filter, and stage 0 reads an upsample through
+the same band's rows (polyphase form): both are checked against
+``conv_valid`` on an explicit repeat of their input.  A property test
+checks every grouping of the separable layer against the full
+convolution loaded with its equivalent kernels.
 """
 
 import numpy as np
@@ -23,14 +23,10 @@ BATCH, N_F, TAPS = 7, 3, (2, 3)
 
 
 def _engine(z, kernel, grad):
-    # stage 0's layout with one phase per axis: [n_f, 1, 1, *taps] and
-    # each output position followed by its size-1 phase axis
-    phased_kernel = kernel.reshape(kernel.shape[:1] + (1,) * len(TAPS) + TAPS)
-    phased_grad = grad.reshape(grad.shape[:-2] + (grad.shape[-2], 1, grad.shape[-1], 1))
-    out = layers._correlate(z, TAPS, phased_kernel).reshape(grad.shape)
-    kgrad = layers._correlate(z, TAPS, phased_grad, kernel_grad=True).reshape(kernel.shape)
-    igrad = layers._correlate_input_grad(phased_grad, phased_kernel)
-    return out, kgrad, igrad
+    # stage 0 at factor 1 on every axis: one phase, whose merged kernel is the kernel
+    out, stage = layers._polyphase(z, kernel, (1,) * len(TAPS))
+    kgrad, igrad = layers._polyphase_backward(grad, stage)
+    return (out, kgrad, igrad), stage[2].chunks
 
 
 def _oracle(z, kernel, grad, filter_axis):
@@ -56,23 +52,20 @@ def test_chunked_path_matches_one_chunk_and_oracle(monkeypatch, rest):
     z = rng.standard_normal((BATCH,) + rest + (6, 7))
     kernel = rng.standard_normal((N_F,) + TAPS)
     grad = rng.standard_normal((BATCH, N_F) + rest + (5, 5))
-    one_chunk = _engine(z, kernel, grad)
+    # the chunk bounds are fixed when a plan is built: build this test's
+    # plans afresh, and drop the small-chunk plan afterwards
+    layers._stage0_plan.cache_clear()
+    one_chunk, one_chunk_bounds = _engine(z, kernel, grad)
 
     per_sample = int(np.prod(rest)) * 5 * 5 * int(np.prod(TAPS))
     monkeypatch.setattr(layers, "_CHUNK_BUDGET", 2 * per_sample)
-    chunk_counts = []
-    batch_chunks = layers._batch_chunks
-
-    def counting(n_batch, per_sample_elements):
-        chunks = list(batch_chunks(n_batch, per_sample_elements))
-        chunk_counts.append(len(chunks))
-        return chunks
-
-    monkeypatch.setattr(layers, "_batch_chunks", counting)
-    chunked = _engine(z, kernel, grad)
-    # forward and kernel gradient: batch 7 in chunks of 2; the input
-    # gradient's own window copies are at least as large
-    assert chunk_counts[:2] == [4, 4] and chunk_counts[2] >= 4
+    layers._stage0_plan.cache_clear()
+    try:
+        chunked, chunk_bounds = _engine(z, kernel, grad)
+    finally:
+        layers._stage0_plan.cache_clear()
+    # forward, kernel gradient and input gradient share the bounds: batch 7 in chunks of 2
+    assert len(one_chunk_bounds) == 1 and len(chunk_bounds) == 4
 
     for name, a, b, ref in zip(("forward", "kernel grad", "input grad"), one_chunk, chunked,
                                _oracle(z, kernel, grad, filter_axis=False)):

@@ -136,6 +136,14 @@ class TestVelocityField:
         with pytest.raises(ValueError):
             velocity_field(np.zeros((2, 3, 3)), 0.1)
 
+    @pytest.mark.parametrize("shape", [(4, 12, 5, 6), (12, 5, 6), (3, 5, 6)],
+                             ids=["batch", "single", "nt3"])
+    def test_bit_equal_to_np_gradient(self, shape):
+        # central differences over 2 dt inside, one-sided over dt at the ends
+        u = np.random.default_rng(7).standard_normal(shape)
+        expected = np.gradient(u, 0.0137, axis=-3, edge_order=1)
+        assert velocity_field(u, 0.0137).tobytes() == expected.tobytes()
+
 
 class TestRestrictAndBoundary:
     def test_full_window_is_identity(self):

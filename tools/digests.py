@@ -1,0 +1,74 @@
+"""Print the sha256 of every primary output of ``generate`` and ``train``.
+
+Runs the command-line entry point in a temporary directory:
+
+* ``generate`` on ``configs/{desk,sweep,tiny}.cfg`` at seeds 0, 1 and 2;
+* ``train`` on ``configs/tiny.cfg`` at seed 0 for Conv3D, Conv2.5D and
+  Conv2.5Db, each with Basic and BN regularization, from temporary
+  copies of the config.
+
+It prints one ``sha256  relative/path`` line per primary output
+(``*.wds``, ``checkpoint.scnn``, ``history.csv``, ``run_config.cfg``),
+the files the determinism contract covers; ``timing.csv`` is left out.
+Running it in two checkouts and diffing the outputs checks that a change
+keeps those bytes:
+
+    python tools/digests.py > digests.txt
+
+The package is imported from this checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from sepconvwave.harness.cli import main  # noqa: E402
+
+CONFIGS = ("desk", "sweep", "tiny")
+SEEDS = (0, 1, 2)
+CELLS = [(v, r) for v in ("Conv3D", "Conv2.5D", "Conv2.5Db") for r in ("Basic", "BN")]
+PRIMARY = ("*.wds", "checkpoint.scnn", "history.csv", "run_config.cfg")
+
+
+def _run(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+
+
+def _cell_config(tmp: Path, variant: str, regularization: str) -> Path:
+    text = (ROOT / "configs" / "tiny.cfg").read_text()
+    text = re.sub(r"^variant = .*$", f"variant = {variant}", text, flags=re.M)
+    text = re.sub(r"^regularization = .*$", f"regularization = {regularization}", text, flags=re.M)
+    path = tmp / f"tiny_{variant}_{regularization}.cfg"
+    path.write_text(text)
+    return path
+
+
+def main_digests() -> None:
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for config in CONFIGS:
+            for seed in SEEDS:
+                _run("generate", "--config", str(ROOT / "configs" / f"{config}.cfg"),
+                     "--seed", str(seed), "--out", str(tmp / config / f"seed{seed}"))
+        for variant, regularization in CELLS:
+            _run("train", "--config", str(_cell_config(tmp, variant, regularization)),
+                 "--seed", "0", "--out", str(tmp / "tiny" / "seed0"))
+        outputs = sorted({p for pattern in PRIMARY for p in tmp.rglob(pattern)})
+        for path in outputs:
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(tmp)}")
+
+
+if __name__ == "__main__":
+    main_digests()
