@@ -88,12 +88,22 @@ def _load_data(cfg):
     return train_ds, test_ds, Scaler().fit(train_ds), ParamScaler().fit(train_ds.param_matrix())
 
 
+class _ConfigError(ValueError):
+    """A configuration that loaded but that the command cannot run: exit code 1."""
+
+
 def cmd_generate(cfg) -> None:
     grid = cfg.grid()
+    try:
+        train_ds = generate_dataset(grid, cfg.train_samples, seed=cfg.seed, bounds=cfg.bounds())
+        test_ds = generate_dataset(grid, cfg.test_samples, seed=cfg.seed + 1, bounds=cfg.bounds())
+    except ValueError as exc:
+        # generate reads nothing but a validated config, so its one ValueError is
+        # the sampler's refusal to place the sources outside the zoom window
+        raise _ConfigError(f"[sampling] source_half_x = {cfg.source_half_x}, "
+                           f"source_half_y = {cfg.source_half_y}: {exc}") from None
     train_path, test_path = _dataset_paths(cfg)
     train_path.parent.mkdir(parents=True, exist_ok=True)
-    train_ds = generate_dataset(grid, cfg.train_samples, seed=cfg.seed, bounds=cfg.bounds())
-    test_ds = generate_dataset(grid, cfg.test_samples, seed=cfg.seed + 1, bounds=cfg.bounds())
     save_dataset(train_path, train_ds)
     save_dataset(test_path, test_ds)
     print(f"wrote {train_path} ({len(train_ds)} samples) and {test_path} ({len(test_ds)})")
@@ -275,6 +285,9 @@ def main(argv=None) -> int:
         return 1
     try:
         _COMMANDS[args.command](cfg)
+    except _ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # runtime failure contract: exit code 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -269,17 +269,19 @@ def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
 
     Executes :func:`_stage0_plan`'s geometry (see the module docstring):
     the merged kernels from ``kernel``, one contraction per batch chunk
-    over a sliding-window view, one reshape to interleave the phases and
-    one slice to crop.  Returns the output and ``(input, merged kernels,
-    plan)`` for :func:`_polyphase_backward`.
+    over a sliding-window view, written into that chunk's rows of one
+    output, one reshape to interleave the phases and one slice to crop.
+    Returns the output and ``(input, merged kernels, plan)`` for
+    :func:`_polyphase_backward`.
     """
     plan = _stage0_plan(z.shape, kernel.shape, factors)
     phase = _band_operator(kernel, plan.bands).reshape(plan.phase_shape)
     if plan.pad:
         z = np.pad(z, plan.pad)
     windows = sliding_window_view(z, plan.taps, axis=plan.axes)
-    y = np.concatenate([np.einsum(plan.forward, windows[rows], phase, optimize=True)
-                        for rows in plan.chunks])
+    y = np.empty(plan.positions)
+    for rows in plan.chunks:
+        np.einsum(plan.forward, windows[rows], phase, out=y[rows], optimize=True)
     return y.reshape(plan.interleaved)[plan.crop], (z, phase, plan)
 
 
@@ -298,10 +300,9 @@ def _polyphase_backward(grad: np.ndarray, stage):
         grad = np.pad(grad, plan.grad_pad)
     grad = grad.reshape(plan.positions)
     windows = sliding_window_view(z, plan.taps, axis=plan.axes)
-    dphase = sum([np.einsum(plan.kernel_grad, windows[rows], grad[rows], optimize=True)
-                  for rows in plan.chunks])
-    gin = np.zeros(plan.padded)
+    dphase, gin = 0, np.zeros(plan.padded)
     for rows in plan.chunks:
+        dphase = dphase + np.einsum(plan.kernel_grad, windows[rows], grad[rows], optimize=True)
         cols = np.einsum(plan.input_grad, grad[rows], phase, optimize=True)
         part = gin[rows]
         for tap, slab in plan.slabs:

@@ -1,15 +1,14 @@
 """Dataset generation, standard scaling and the binary dataset format.
 
 A dataset holds the parameter vectors and, on a leading sample axis,
-the zoom-window displacement, velocity and ring traces.  Files use the
-``WDS1`` layout (little-endian): magic, format version u32, grid block,
-sample count u64, then per-sample records of 3 float64 parameters
-followed by the four tensors in the tensor record encoding shared with
-checkpoints (rank u64, extents u64, float64 data; see
+the zoom-window displacement, velocity and ring traces.  A ``.wds`` file
+is those arrays: magic ``WDS1``, format version u32 (2), the grid block,
+then the records ``params [n, 3]``, ``u``, ``v``, ``boundary_u`` and
+``boundary_v`` in the tensor encoding shared with checkpoints (see
 :mod:`sepconvwave.records`).  Identical grids and samples produce
 byte-identical files; truncated or padded files, a grid block that fails
-:meth:`GridSpec.validate`, a sample count of 0, and sample arrays whose
-shapes disagree with the grid block are rejected on load.
+:meth:`GridSpec.validate`, a sample count n of 0, and fields whose shapes
+are not ``(n, *grid shape)`` are rejected on load.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = [
 ]
 
 MAGIC = b"WDS1"
-VERSION = 1
+VERSION = 2
 _SAMPLE_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
 
@@ -149,11 +148,9 @@ def save_dataset(path, dataset: WaveDataset) -> None:
     with atomic_write(path) as fh:
         write_header(fh, MAGIC, VERSION)
         fh.write(struct.pack(_GRID_FORMAT, *(getattr(dataset.grid, f) for f in _GRID_FIELDS)))
-        fh.write(struct.pack("<Q", len(dataset)))
-        for s in dataset.samples:
-            fh.write(struct.pack("<3d", *s.params))
-            for field in _SAMPLE_FIELDS:
-                write_array(fh, getattr(s, field))
+        write_array(fh, dataset.param_matrix())
+        for field in _SAMPLE_FIELDS:
+            write_array(fh, getattr(dataset, field))
 
 
 def load_dataset(path) -> WaveDataset:
@@ -164,24 +161,23 @@ def load_dataset(path) -> WaveDataset:
             grid.validate()
         except ValueError as exc:
             raise ValueError(f"{path}: grid block: {exc}") from None
-        (count,) = reader.unpack("<Q", "sample count")
-        if count == 0:
+        start = reader.offset
+        params = reader.array("params")
+        if params.ndim != 2 or params.shape[1] != 3:
+            raise ValueError(f"{path}: params at byte {start} has shape {params.shape}, not (n, 3)")
+        if len(params) == 0:
             raise ValueError(f"{path}: sample count is 0; a dataset needs at least one sample")
-        field_shape = (grid.nt, grid.zoom_nx, grid.zoom_ny)
-        ring_shape = (grid.nt, grid.n_boundary)
-        expected = dict(zip(_SAMPLE_FIELDS, (field_shape, field_shape, ring_shape, ring_shape)))
-        params, rows = [], {name: [] for name in _SAMPLE_FIELDS}
-        for i in range(count):
-            params.append(WaveParams(*reader.unpack("<3d", f"sample {i} parameters")))
-            for name in _SAMPLE_FIELDS:
-                start = reader.offset
-                array = reader.array(f"sample {i} {name}")
-                if array.shape != expected[name]:
-                    raise ValueError(
-                        f"{path}: sample {i} {name} at byte {start} has shape {array.shape}, "
-                        f"the grid block gives {expected[name]}"
-                    )
-                rows[name].append(array)
+        window = (len(params), grid.nt, grid.zoom_nx, grid.zoom_ny)
+        ring = (len(params), grid.nt, grid.n_boundary)
+        fields = []
+        for name, expected in zip(_SAMPLE_FIELDS, (window, window, ring, ring)):
+            start = reader.offset
+            array = reader.array(name)
+            if array.shape != expected:
+                raise ValueError(
+                    f"{path}: {name} at byte {start} has shape {array.shape}, "
+                    f"the params record and grid block give {expected}"
+                )
+            fields.append(array)
         reader.finish()
-    # the rows are stacked once read, so no allocation trusts the unchecked count
-    return WaveDataset(grid, tuple(params), *(np.stack(rows[n]) for n in _SAMPLE_FIELDS))
+    return WaveDataset(grid, tuple(map(WaveParams._make, params.tolist())), *fields)

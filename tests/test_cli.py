@@ -93,6 +93,17 @@ class TestExitCodes:
         assert err.startswith("configuration error") and len(err.splitlines()) == 1
         assert "Traceback" not in err and "repeated key" not in err
 
+    def test_source_box_inside_zoom_window_is_configuration_error(self, tmp_path, capsys):
+        # the config loads; the sampler refuses the box once generate draws the sources
+        bad = tmp_path / "box.cfg"
+        bad.write_text(Path(TINY).read_text().replace(
+            "[sampling]\n", "[sampling]\nsource_half_x = 0.1\nsource_half_y = 0.1\n"))
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [sampling] source_half_x = 0.1, source_half_y = 0.1")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_train_without_dataset_is_runtime_error(self, tmp_path):
         assert main(["train", "--config", TINY, "--out", str(tmp_path / "empty")]) == 2
 
@@ -111,11 +122,9 @@ class TestExitCodes:
         assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
         train = out / "train.wds"
         ds = load_dataset(train)
-        rows = [(s.params, s.u, s.v, s.boundary_u, s.boundary_v) for s in ds.samples]
-        rows[0] = (rows[0][0], rows[0][1][:3], *rows[0][2:])
-        write_wds(train, ds.grid, rows)
+        write_wds(train, ds.grid, ds.param_matrix(), ds.u[:, :3], ds.v, ds.boundary_u, ds.boundary_v)
         assert main(["train", "--config", TINY, "--out", str(out)]) == 2
-        assert "train.wds: sample 0 u at byte 128 has shape (3, 8, 8)" in capsys.readouterr().err
+        assert "train.wds: u at byte 264 has shape (6, 3, 8, 8)" in capsys.readouterr().err
 
     def test_train_on_dataset_with_invalid_grid_block_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "run"

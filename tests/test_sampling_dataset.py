@@ -199,8 +199,8 @@ class TestDataset:
         whole = tmp_path / "whole.wds"
         save_dataset(whole, generate_dataset(grid, 2, seed=16))
         data = whole.read_bytes()
-        # header, grid block, sample params, tensor rank, extents, data, last byte
-        for cut in (0, 3, 6, 40, 100, 124, 130, 150, len(data) // 2, len(data) - 1):
+        # header, grid block, params rank, extents and data, u rank and extents, mid-file, last byte
+        for cut in (0, 3, 6, 40, 100, 110, 124, 130, 150, 170, 180, len(data) // 2, len(data) - 1):
             path = tmp_path / f"cut{cut}.wds"
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError, match=rf"cut{cut}\.wds: truncated at byte \d+"):
@@ -264,34 +264,71 @@ class TestDataset:
 
     def test_zero_sample_count_rejected(self, tmp_path, write_wds):
         # the generator never writes one; it used to load and fail later, in the scalers
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        window, ring = np.zeros((0, grid.nt, 6, 6)), np.zeros((0, grid.nt, grid.n_boundary))
         path = tmp_path / "empty.wds"
-        write_wds(path, make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8), [])
+        write_wds(path, grid, np.zeros((0, 3)), window, window, ring, ring)
         with pytest.raises(ValueError, match=r"empty\.wds: sample count is 0"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 4), (2, 3, 1)], ids=str)
+    def test_params_record_not_n_by_3_rejected(self, tmp_path, write_wds, shape):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        ds = generate_dataset(grid, 2, seed=27)
+        path = tmp_path / "params.wds"
+        write_wds(path, grid, np.zeros(shape), *(getattr(ds, f) for f in FIELDS))
+        at = 8 + struct.calcsize("<4d7Q")
+        shape = re.escape(str(shape))
+        with pytest.raises(ValueError, match=rf"params\.wds: params at byte {at} has shape {shape}, not"):
+            load_dataset(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # version 1 held per-sample records; generate rewrites such a file as version 2
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        path = tmp_path / "old.wds"
+        save_dataset(path, generate_dataset(grid, 2, seed=28))
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"old\.wds: unsupported dataset version 1$"):
             load_dataset(path)
 
     def test_rows_written_field_by_field_match_save_dataset(self, tmp_path, write_wds):
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
         ds = generate_dataset(grid, 2, seed=25)
         save_dataset(tmp_path / "saved.wds", ds)
-        write_wds(tmp_path / "written.wds", grid, [(s.params, s.u, s.v, s.boundary_u, s.boundary_v)
-                                                  for s in ds.samples])
+        write_wds(tmp_path / "written.wds", grid, ds.param_matrix(), *(getattr(ds, f) for f in FIELDS))
         assert (tmp_path / "written.wds").read_bytes() == (tmp_path / "saved.wds").read_bytes()
 
-    @pytest.mark.parametrize("index, field, cut", [(0, "u", 3), (1, "boundary_v", 5)])
-    def test_sample_shape_disagreeing_with_grid_rejected(self, tmp_path, write_wds, index, field, cut):
-        # a well-formed file whose sample arrays contradict its grid block
+    @pytest.mark.parametrize("axis, field, cut", [(0, "u", 3), (1, "boundary_v", 5)])
+    def test_sample_shape_disagreeing_with_grid_rejected(self, tmp_path, write_wds, axis, field, cut):
+        # a well-formed file whose field contradicts its grid block: its grid axis ``axis`` cut
         grid = make_grid(nx=32, ny=32, zoom_nx=16, zoom_ny=16, nt=8)
         ds = generate_dataset(grid, 2, seed=20)
-        rows = [[s.params, *(getattr(s, f) for f in FIELDS)] for s in ds.samples]
-        k = 1 + FIELDS.index(field)
-        bad = rows[index][k] = rows[index][k][:cut]
+        arrays = {f: getattr(ds, f) for f in FIELDS}
+        expected = arrays[field].shape
+        bad = arrays[field] = np.take(arrays[field], np.arange(cut), axis=1 + axis)
         path = tmp_path / "bad.wds"
-        write_wds(path, grid, rows)
-        # header, grid block, sample count, then sample 0's parameters
-        first_u = 8 + struct.calcsize("<4d7Q") + 8 + 24
-        offset = str(first_u) if (index, field) == (0, "u") else r"\d+"
-        shape = re.escape(str(bad.shape))
-        message = rf"bad\.wds: sample {index} {field} at byte {offset} has shape {shape}"
+        write_wds(path, grid, ds.param_matrix(), *arrays.values())
+        # header, grid block, then the params record: rank, two extents, 2 x 3 values
+        first_u = 8 + struct.calcsize("<4d7Q") + 8 * 3 + 8 * 6
+        offset = str(first_u) if field == "u" else r"\d+"
+        message = (rf"bad\.wds: {field} at byte {offset} has shape {re.escape(str(bad.shape))}, "
+                   rf"the params record and grid block give {re.escape(str(expected))}")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["v", "boundary_u"])
+    def test_field_sample_count_disagreeing_with_params_rejected(self, tmp_path, write_wds, field):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        ds = generate_dataset(grid, 3, seed=29)
+        arrays = {f: getattr(ds, f) for f in FIELDS}
+        expected = arrays[field].shape
+        short = arrays[field] = arrays[field][:2]
+        path = tmp_path / "short.wds"
+        write_wds(path, grid, ds.param_matrix(), *arrays.values())
+        message = (rf"short\.wds: {field} at byte \d+ has shape {re.escape(str(short.shape))}, "
+                   rf"the params record and grid block give {re.escape(str(expected))}")
         with pytest.raises(ValueError, match=message):
             load_dataset(path)
 
@@ -301,6 +338,8 @@ class TestGeneratorBytes:
 
     The digests were taken from the numpy solver on a 64-bit x86 host; a
     change to the stepping order or to the rounding of any step shows here.
+    The file digest is of the version 2 layout, whose decoded arrays are
+    bit-identical to those of the version 1 file it replaced.
     """
 
     @pytest.fixture(scope="class")
@@ -312,7 +351,7 @@ class TestGeneratorBytes:
         path = tmp_path / "train.wds"
         save_dataset(path, dataset)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "580fa0a1f2b19bd2cc1327f08c72afe83fe5dc279adb8ade2527fa3d9aaf558d"
+        assert digest == "5bb2325c0b07842f582298c092385a9b2340677eb2cb8015a7339835d8be502e"
 
     def test_submodel_resolve_digest(self, dataset):
         digest = hashlib.sha256()

@@ -10,8 +10,11 @@ Runs the command-line entry point in a temporary directory:
 It prints one ``sha256  relative/path`` line per primary output
 (``*.wds``, ``checkpoint.scnn``, ``history.csv``, ``run_config.cfg``),
 the files the determinism contract covers; ``timing.csv`` is left out.
-Running it in two checkouts and diffing the outputs checks that a change
-keeps those bytes:
+Each ``*.wds`` also gets a ``sha256  relative/path:arrays`` line over its
+decoded ``params``, ``u``, ``v``, ``boundary_u`` and ``boundary_v`` (shape
+and float64 bytes), which stays the same across a change of the file's
+layout when the data does not change.  Running it in two checkouts and
+diffing the outputs checks that a change keeps those bytes:
 
     python tools/digests.py > digests.txt
 
@@ -32,11 +35,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from sepconvwave.harness.cli import main  # noqa: E402
+from sepconvwave.wave import load_dataset  # noqa: E402
 
 CONFIGS = ("desk", "sweep", "tiny")
 SEEDS = (0, 1, 2)
 CELLS = [(v, r) for v in ("Conv3D", "Conv2.5D", "Conv2.5Db") for r in ("Basic", "BN")]
 PRIMARY = ("*.wds", "checkpoint.scnn", "history.csv", "run_config.cfg")
+DATASET_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
 
 def _run(*argv: str) -> None:
@@ -44,6 +49,15 @@ def _run(*argv: str) -> None:
         code = main(list(argv))
     if code:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
+
+
+def _arrays_digest(path: Path) -> str:
+    dataset = load_dataset(path)
+    digest = hashlib.sha256()
+    for array in (dataset.param_matrix(), *(dataset.stack(f) for f in DATASET_FIELDS)):
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def _cell_config(tmp: Path, variant: str, regularization: str) -> Path:
@@ -68,6 +82,8 @@ def main_digests() -> None:
         outputs = sorted({p for pattern in PRIMARY for p in tmp.rglob(pattern)})
         for path in outputs:
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(tmp)}")
+            if path.suffix == ".wds":
+                print(f"{_arrays_digest(path)}  {path.relative_to(tmp)}:arrays")
 
 
 if __name__ == "__main__":
