@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Model
+from ..nn import Model, fold_batchnorm
 from ..wave import (
     Scaler,
     WaveDataset,
@@ -87,13 +87,19 @@ def predict_fields(
     Field variants give ``[n_p, nt, zx, zy]``, boundary variants
     ``[n_p, nt, n_boundary]``; slice-wise models are run over the whole
     time grid and reassembled.  Evaluation mode (running statistics) is
-    used throughout.
+    used throughout, through :func:`sepconvwave.nn.fold_batchnorm`: the
+    model's batch normalizations are folded into the layers before them
+    for this call, so the predictions equal ``model``'s eval forward up to
+    rounding and ``model`` itself is left as it was.
     """
+    folded = fold_batchnorm(model)
     inputs = prepare_inputs(spec, dataset, param_scaler)
-    chunks = []
-    for start in range(0, inputs.shape[0], _CHUNK_ROWS):
-        chunks.append(model.forward(inputs[start : start + _CHUNK_ROWS], training=False))
-    out = {h: np.concatenate([c[h] for c in chunks], axis=0) for h in model.head_names}
+    chunks = [folded.forward(inputs[start : start + _CHUNK_ROWS])
+              for start in range(0, inputs.shape[0], _CHUNK_ROWS)]
+    if len(chunks) == 1:
+        (out,) = chunks
+    else:
+        out = {h: np.concatenate([c[h] for c in chunks], axis=0) for h in model.head_names}
     grid = dataset.grid
     result = {}
     for head, arr in out.items():

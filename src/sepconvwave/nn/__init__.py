@@ -10,7 +10,7 @@ from .layers import (
     Upsample,
 )
 from .losses import euler_residual, euler_residual_grads, mse, mse_grad
-from .model import Model, count_params
+from .model import Model, count_params, fold_batchnorm
 from .optim import Adam, lr_schedule
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "count_params",
     "euler_residual",
     "euler_residual_grads",
+    "fold_batchnorm",
     "lr_schedule",
     "mse",
     "mse_grad",

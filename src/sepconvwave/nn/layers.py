@@ -21,9 +21,9 @@ Convolutions follow the channel-summed contract: one kernel per output
 channel, applied to the sum over input channels, stride 1, no padding,
 so :func:`sepconvwave.tensor_core.conv_valid` of the channel sum is
 their reference.  The separable layer replaces each d-way kernel with a
-sequence of small per-stage kernels (one per axis group) connected by
-axis moves, so a filter costs the sum of its extents instead of their
-product; the full convolution ``Conv`` is its one-stage case, a single
+sequence of small per-stage kernels (one per axis group), each applied
+along its own axes, so a filter costs the sum of its extents instead of
+their product; the full convolution ``Conv`` is its one-stage case, a single
 group holding every axis.  The stages are linear, so the layer is the
 convolution with the outer product of its stage kernels (a rank-1 CP
 format), whatever order the stages run in.
@@ -61,9 +61,15 @@ one, and the kernel contracted with its axes' bands is a dense operator
   them (depth-to-space) before the crop to ``f * n - k + 1``.
 * A depthwise stage (every later stage; each filter convolves its own
   slice) is the whole band operator, one small dense matrix per filter,
-  applied by a batched matrix product.  The forward pass is ``z @ A^T``,
-  the input gradient ``g @ A``, and the kernel gradient the bands'
-  adjoint applied to ``sum_b g^T @ z``.
+  applied by a batched matrix product where the group's axes lie
+  (:func:`_along`).  With the stage input viewed as ``[batch, n_f,
+  before, group, after]``, the forward pass is ``A @ z`` and the input
+  gradient ``A^T @ g``, so the stage moves no axis and copies nothing,
+  and its output is C-ordered.  The kernel gradient is the bands'
+  adjoint applied to ``sum_b g^T @ z``, one GEMM over every axis but the
+  group's, which needs one transposing copy of the input and of the
+  gradient; summing per ``before`` slice would need none but would round
+  differently, and change the trained bytes.
 
 The whole operator pays ``prod(n)`` multiply-adds per output, not k taps,
 which is cheap for the short one-axis groups of a depthwise stage but
@@ -313,39 +319,70 @@ def _polyphase_backward(grad: np.ndarray, stage):
 def _banded(z: np.ndarray, kernel: np.ndarray, factors):
     """A depthwise stage: valid correlation of ``z`` repeated ``factors``-fold.
 
-    ``z`` is ``[batch, n_f, *rest, *group]`` and each filter correlates
-    its own slice over the trailing group axes.  The stage is one dense
-    operator per filter (:func:`_band_operator`) applied by a batched
-    matrix product, so the repeat is never built and the phases need no
-    interleave or crop.  The operator has ``n_f * prod(f*n - k + 1) *
-    prod(n)`` entries and costs ``prod(n)`` multiply-adds per output in
-    place of k taps; for the one-axis groups of the zoo on the committed
-    configs that is at most 11,520 entries (Conv1.5D_Boundary on
-    ``desk.cfg``).  Returns the output and the plan that
-    :func:`_banded_backward` reuses.
+    ``z`` is ``[batch, n_f, before, *group, after]`` (see :func:`_along`),
+    or ``[batch, n_f, before, *group]`` with ``after = 1``, and each
+    filter correlates its own slice over the group axes.  The stage is
+    one dense operator per filter (:func:`_band_operator`) applied as
+    ``A @ z`` to each ``[group, after]`` slice, so the input is never
+    transposed, the output is C-ordered, and the repeat is never built.
+    The operator has ``n_f * prod(f*n - k + 1) * prod(n)`` entries and
+    costs ``prod(n)`` multiply-adds per output in place of k taps; for
+    the one-axis groups of the zoo on the committed configs that is at
+    most 11,520 entries (Conv1.5D_Boundary on ``desk.cfg``).  Every zoo
+    stage has ``after > 1``; a trailing group (``after = 1``, hand-passed
+    ``groups`` only) runs as one matrix-vector product per ``before``
+    row.  Returns the output and the plan that :func:`_banded_backward`
+    reuses.
     """
     g = len(factors)
-    lead, small = z.shape[:-g], z.shape[-g:]
-    bands = [_band(k, f, n) for k, f, n in zip(kernel.shape[1:], factors, small)]
+    bands = [_band(k, f, n) for k, f, n in zip(kernel.shape[1:], factors, z.shape[3:3 + g])]
     op = _band_operator(kernel, bands)
-    z = np.ascontiguousarray(z).reshape(lead[:2] + (-1, op.shape[2]))
-    # matmul runs up to 2x faster on a contiguous transpose than on the view
-    y = np.matmul(z, np.ascontiguousarray(op.transpose(0, 2, 1)))
-    return y.reshape(lead + tuple(band.shape[1] for band in bands)), (z, op, bands, small)
+    shape = z.shape[:3] + tuple(band.shape[1] for band in bands) + z.shape[3 + g:]
+    x = np.ascontiguousarray(z).reshape(z.shape[:3] + (op.shape[2], math.prod(z.shape[3 + g:])))
+    return np.matmul(op[:, None], x).reshape(shape), (x, op, bands, z.shape)
 
 
 def _banded_backward(grad: np.ndarray, plan):
     """Kernel and input gradients of :func:`_banded`, the input's un-repeated.
 
-    With ``g`` the output gradient as ``[batch, n_f, rest, out]``, the
-    input gradient is ``g @ A``, the operator gradient ``sum_b g^T @ z``,
-    and the kernel gradient is that contracted with the bands.
+    With ``g`` the output gradient in the forward's layout, the input
+    gradient is ``A^T @ g`` on each ``[group, after]`` slice.  The
+    operator gradient is ``sum_b g^T @ z`` with every axis but the
+    group's in one GEMM contraction, ``before`` major, and the batch
+    summed last, and the kernel gradient is that contracted with the
+    bands.  That order costs one transposing copy of the stage input and
+    of ``g`` (none when ``after = 1``).
     """
-    z, op, bands, small = plan
-    lead = grad.shape[:-len(bands)]
-    grad = np.ascontiguousarray(grad).reshape(z.shape[:3] + (op.shape[1],))
+    z, op, bands, shape = plan
+    grad = np.ascontiguousarray(grad).reshape(z.shape[:3] + (op.shape[1], z.shape[4]))
+    gin = np.matmul(op.transpose(0, 2, 1)[:, None], grad).reshape(shape)
+    # [batch, n_f, before * after, group]
+    z, grad = (np.ascontiguousarray(np.swapaxes(a, 3, 4)).reshape(a.shape[:2] + (-1, a.shape[3]))
+               for a in (z, grad))
     dop = np.matmul(grad.transpose(0, 1, 3, 2), z).sum(axis=0)
-    return _band_operator_adjoint(dop, bands), np.matmul(grad, op).reshape(lead + small)
+    return _band_operator_adjoint(dop, bands), gin
+
+
+def _along(z: np.ndarray, group):
+    """``z [batch, n_f, *spatial]`` as :func:`_banded` reads it along ``group``'s axes.
+
+    The group's axes are moved next to each other, in group order, at
+    the first one's place: a no-op when they are adjacent and in order,
+    as in every layer of the zoo.  The axes before and after them are
+    then flattened into one each (extent 1 when there are none).  Returns
+    that view and the moved shape, for :func:`_unalong`.
+    """
+    lo, g = 2 + min(group), len(group)
+    z = np.moveaxis(z, [2 + a for a in group], range(lo, lo + g))
+    head = z.shape[:2] + (math.prod(z.shape[2:lo]),) + z.shape[lo:lo + g]
+    return z.reshape(head + (math.prod(z.shape[lo + g:]),)), z.shape
+
+
+def _unalong(y: np.ndarray, moved, group) -> np.ndarray:
+    """:func:`_along` undone on a stage's result, whose group axes have new extents."""
+    lo, g = 2 + min(group), len(group)
+    y = y.reshape(moved[:lo] + y.shape[3:3 + g] + moved[lo + g:])
+    return np.moveaxis(y, range(lo, lo + g), [2 + a for a in group])
 
 
 class Dense(Layer):
@@ -463,23 +500,32 @@ class SeparableConv(Layer):
         small, factors = (x.small, x.factors[1:]) if isinstance(x, _Repeated) else (x, (1,) * nd)
         # channels fold into the multi-index first (the sum commutes with
         # the repeat); the filter axis is created by the first stage and
-        # carried through the pipeline of axis moves and correlations.  A
-        # stage folds in only its own axes' repeats; the others commute
-        # with it and wait for their own stage.
+        # carried through the later ones.  A stage folds in only its own
+        # axes' repeats; the others commute with it and wait for their
+        # own stage.
         z = small.sum(axis=1)
         plans = []
         for s, (group, ker) in enumerate(zip(self.groups, self.stage_kernels)):
-            offset = 1 if s == 0 else 2
-            z = np.moveaxis(z, [offset + a for a in group], range(z.ndim - len(group), z.ndim))
-            # stage 0 reads the input every filter shares; later stages are depthwise
-            z, plan = (_banded if s else _polyphase)(z, ker.value, tuple(factors[a] for a in group))
+            stage_factors = tuple(factors[a] for a in group)
+            if s:
+                # a depthwise stage runs along its axes where they lie
+                z, moved = _along(z, group)
+                z, plan = _banded(z, ker.value, stage_factors)
+                z = _unalong(z, moved, group)
+            else:
+                # stage 0 reads the input every filter shares, its group's axes last
+                z = np.moveaxis(z, [1 + a for a in group], range(z.ndim - len(group), z.ndim))
+                z, plan = _polyphase(z, ker.value, stage_factors)
+                z = np.moveaxis(z, range(z.ndim - len(group), z.ndim), [2 + a for a in group])
             if training:
                 plans.append(plan)
             del plan  # an eval forward frees each stage's input once the stage is done
-            z = np.moveaxis(z, range(z.ndim - len(group), z.ndim), [2 + a for a in group])
         self._cache = plans if training else None
-        # the last stage leaves its axes permuted; the output is C-ordered
-        return np.add(z, self.bias.value.reshape((1, self.n_f) + (1,) * nd), order="C")
+        # the last stage's output is a fresh array: the bias goes in place,
+        # unless that output is a view that is not C-ordered (a cropped
+        # stage 0, a hand-passed group moved back), which np.add copies
+        bias = self.bias.value.reshape((1, self.n_f) + (1,) * nd)
+        return np.add(z, bias, out=z if z.flags.c_contiguous else None, order="C")
 
     def backward(self, grad):
         plans = self._take_cache()
@@ -488,11 +534,15 @@ class SeparableConv(Layer):
         g = grad
         for s in reversed(range(len(self.groups))):
             group = self.groups[s]
-            g = np.moveaxis(g, [2 + a for a in group], range(g.ndim - len(group), g.ndim))
-            kgrad, g = (_banded_backward if s else _polyphase_backward)(g, plans[s])
+            if s:
+                g, moved = _along(g, group)
+                kgrad, g = _banded_backward(g, plans[s])
+                g = _unalong(g, moved, group)
+            else:
+                g = np.moveaxis(g, [2 + a for a in group], range(g.ndim - len(group), g.ndim))
+                kgrad, g = _polyphase_backward(g, plans[0])
+                g = np.moveaxis(g, range(g.ndim - len(group), g.ndim), [1 + a for a in group])
             self.stage_kernels[s].grad += kgrad
-            offset = 1 if s == 0 else 2
-            g = np.moveaxis(g, range(g.ndim - len(group), g.ndim), [offset + a for a in group])
         # every input channel gets the same gradient: a read-only view, no copy
         return np.broadcast_to(g[:, None], (len(g), self.c_in) + g.shape[1:])
 

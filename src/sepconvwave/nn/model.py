@@ -14,6 +14,10 @@ The layer list, the state-dict names and the results are those of the
 materialised repeat; only the work changes.  An upsample followed by
 anything else, such as the final repeat before a ``Reshape``, still
 builds the repeated tensor.
+
+:func:`fold_batchnorm` gives the eval-only form of a model: each
+``BatchNorm`` folded into the layer that feeds it (Jacob et al. 2018,
+arXiv:1712.05877), every other layer shared.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Layer, Parameter, SeparableConv, Upsample
+from .layers import BatchNorm, Conv, Dense, Layer, Parameter, Reshape, SeparableConv, Upsample
 
-__all__ = ["Model", "ParamBudget", "count_params"]
+__all__ = ["Model", "ParamBudget", "count_params", "fold_batchnorm"]
 
 
 class Model:
@@ -147,6 +151,72 @@ class Model:
 
     def all_layers(self) -> list[Layer]:
         return [layer for _, layer in self._named_layers()]
+
+
+def _scaled(layer, norm: BatchNorm):
+    """A new ``layer`` whose output is ``norm``'s eval forward of the old one's.
+
+    At eval ``norm`` is the per-channel affine map ``(x - mu) s + beta``,
+    ``s = gamma / sqrt(var + eps)``.  A convolution's stage-0 kernel is
+    scaled per filter by ``s`` (its later stages are shared) and a
+    ``Dense``'s rows by their channel's ``s``, a channel covering a run
+    of ``n_out / channels`` rows; the bias becomes ``(b - mu) s + beta``.
+    """
+    s = norm.gamma.value / np.sqrt(norm.running_var + norm.eps)
+    mean, beta = norm.running_mean, norm.beta.value
+    rng = np.random.default_rng(0)  # the constructors draw an init, overwritten below
+    if isinstance(layer, Dense):
+        s, mean, beta = (np.repeat(v, layer.n_out // norm.channels) for v in (s, mean, beta))
+        new = Dense(layer.n_in, layer.n_out, rng)
+        new.weight.value[...] = layer.weight.value * s[:, None]
+    else:
+        if isinstance(layer, Conv):
+            new = Conv(layer.c_in, layer.n_f, layer.extents, rng)
+        else:
+            new = SeparableConv(layer.c_in, layer.n_f, layer.extents, rng, groups=layer.groups)
+        new.stage_kernels[1:] = layer.stage_kernels[1:]
+        kernel = layer.stage_kernels[0].value
+        new.stage_kernels[0].value[...] = kernel * s.reshape((-1,) + (1,) * (kernel.ndim - 1))
+    new.bias.value[...] = (layer.bias.value - mean) * s + beta
+    return new
+
+
+def _feeder(layers: list[Layer]):
+    """Index of the layer a ``BatchNorm`` after ``layers`` folds into, or None."""
+    if layers and isinstance(layers[-1], (Dense, SeparableConv)):
+        return len(layers) - 1
+    # a Dense may feed it through a Reshape onto its channels
+    if len(layers) > 1 and isinstance(layers[-1], Reshape) and isinstance(layers[-2], Dense):
+        return len(layers) - 2
+    return None
+
+
+def _folded(layers: list[Layer]) -> list[Layer]:
+    """``layers`` with each ``BatchNorm`` that has a feeder folded into it."""
+    out = []
+    for layer in layers:
+        at = _feeder(out) if isinstance(layer, BatchNorm) else None
+        if at is None:
+            out.append(layer)
+        else:
+            out[at] = _scaled(out[at], layer)
+    return out
+
+
+def fold_batchnorm(model: Model) -> Model:
+    """An eval-only model that computes ``model.forward(x, training=False)``.
+
+    Every ``BatchNorm`` whose input comes straight from a convolution, a
+    ``Dense`` or a ``Dense`` followed by a ``Reshape`` in the same layer
+    list is folded into that layer (:func:`_scaled`), so the eval forward
+    skips one pass over each normalized activation; any other
+    ``BatchNorm`` stays.  The results agree with the unfolded forward up
+    to rounding.  Every other layer is ``model``'s own, shared, and the
+    model's arrays are read, never written, so its checkpoint and
+    training are unchanged.  Build it again after the weights change.
+    """
+    heads = {name: _folded(layers) for name, layers in model.heads.items()}
+    return Model(_folded(model.trunk), heads, model.input_shape, model.variant)
 
 
 @dataclass(frozen=True)

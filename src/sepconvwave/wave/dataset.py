@@ -130,13 +130,19 @@ class Scaler:
             self.stats[field] = (float(data.mean()), std if std > self._GUARD else 1.0)
         return self
 
+    # each builds one new array and finishes in place on it, with the
+    # rounding of the two-operation expression
     def transform(self, x: np.ndarray, field: str) -> np.ndarray:
         mean, std = self.stats[field]
-        return (x - mean) / std
+        out = np.subtract(x, mean)
+        out /= std
+        return out
 
     def inverse(self, x: np.ndarray, field: str) -> np.ndarray:
         mean, std = self.stats[field]
-        return x * std + mean
+        out = np.multiply(x, std)
+        out += mean
+        return out
 
 
 # the grid block: four float64 fields, then seven u64 fields

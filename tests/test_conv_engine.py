@@ -12,7 +12,7 @@ convolution loaded with its equivalent kernels.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepconvwave.nn import Conv, SeparableConv
@@ -130,6 +130,10 @@ def _layer_cases(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_layer_cases())
+# a depthwise stage along a middle axis, and a group of two non-adjacent
+# axes out of order, which the layer moves next to each other first
+@example(((2, 3, 2), ((2,), (1,), (0,)), (4, 5, 3), 2, 3, 2, 5))
+@example(((2, 3, 2), ((1,), (2, 0)), (4, 5, 3), 2, 3, 2, 6))
 def test_separable_equals_full_conv_with_equivalent_kernels(case):
     extents, groups, spatial, c_in, n_f, batch, seed = case
     rng = np.random.default_rng(seed)
