@@ -90,7 +90,8 @@ def predict_fields(
     used throughout, through :func:`sepconvwave.nn.fold_batchnorm`: the
     model's batch normalizations are folded into the layers before them
     for this call, so the predictions equal ``model``'s eval forward up to
-    rounding and ``model`` itself is left as it was.
+    rounding and ``model`` itself is left as it was.  Each head's output
+    is un-scaled in place (:meth:`~sepconvwave.wave.Scaler.inverse`).
     """
     folded = fold_batchnorm(model)
     inputs = prepare_inputs(spec, dataset, param_scaler)

@@ -63,13 +63,11 @@ one, and the kernel contracted with its axes' bands is a dense operator
   slice) is the whole band operator, one small dense matrix per filter,
   applied by a batched matrix product where the group's axes lie
   (:func:`_along`).  With the stage input viewed as ``[batch, n_f,
-  before, group, after]``, the forward pass is ``A @ z`` and the input
-  gradient ``A^T @ g``, so the stage moves no axis and copies nothing,
-  and its output is C-ordered.  The kernel gradient is the bands'
-  adjoint applied to ``sum_b g^T @ z``, one GEMM over every axis but the
-  group's, which needs one transposing copy of the input and of the
-  gradient; summing per ``before`` slice would need none but would round
-  differently, and change the trained bytes.
+  before, group, after]``, the forward pass is ``A @ z``, the input
+  gradient ``A^T @ g`` and the operator gradient ``g @ z^T`` summed over
+  batch and ``before``, which the bands' adjoint turns into the kernel
+  gradient.  So neither pass moves an axis or copies the input or its
+  gradient, and the output is C-ordered.
 
 The whole operator pays ``prod(n)`` multiply-adds per output, not k taps,
 which is cheap for the short one-axis groups of a depthwise stage but
@@ -328,38 +326,29 @@ def _banded(z: np.ndarray, kernel: np.ndarray, factors):
     The operator has ``n_f * prod(f*n - k + 1) * prod(n)`` entries and
     costs ``prod(n)`` multiply-adds per output in place of k taps; for
     the one-axis groups of the zoo on the committed configs that is at
-    most 11,520 entries (Conv1.5D_Boundary on ``desk.cfg``).  Every zoo
-    stage has ``after > 1``; a trailing group (``after = 1``, hand-passed
-    ``groups`` only) runs as one matrix-vector product per ``before``
-    row.  Returns the output and the plan that :func:`_banded_backward`
-    reuses.
+    most 11,520 entries (Conv1.5D_Boundary on ``desk.cfg``).  Returns the
+    output and the plan that :func:`_banded_backward` reuses.
     """
     g = len(factors)
     bands = [_band(k, f, n) for k, f, n in zip(kernel.shape[1:], factors, z.shape[3:3 + g])]
     op = _band_operator(kernel, bands)
     shape = z.shape[:3] + tuple(band.shape[1] for band in bands) + z.shape[3 + g:]
-    x = np.ascontiguousarray(z).reshape(z.shape[:3] + (op.shape[2], math.prod(z.shape[3 + g:])))
+    x = z.reshape(z.shape[:3] + (op.shape[2], math.prod(z.shape[3 + g:])))
     return np.matmul(op[:, None], x).reshape(shape), (x, op, bands, z.shape)
 
 
 def _banded_backward(grad: np.ndarray, plan):
     """Kernel and input gradients of :func:`_banded`, the input's un-repeated.
 
-    With ``g`` the output gradient in the forward's layout, the input
-    gradient is ``A^T @ g`` on each ``[group, after]`` slice.  The
-    operator gradient is ``sum_b g^T @ z`` with every axis but the
-    group's in one GEMM contraction, ``before`` major, and the batch
-    summed last, and the kernel gradient is that contracted with the
-    bands.  That order costs one transposing copy of the stage input and
-    of ``g`` (none when ``after = 1``).
+    On each ``[group, after]`` slice of the forward's view, the input
+    gradient is ``A^T @ g`` and the operator gradient ``g @ z^T``, summed
+    over batch and ``before`` and turned into the kernel gradient by the
+    bands' adjoint.  Neither moves an axis of ``z`` or ``g``.
     """
     z, op, bands, shape = plan
-    grad = np.ascontiguousarray(grad).reshape(z.shape[:3] + (op.shape[1], z.shape[4]))
+    grad = grad.reshape(z.shape[:3] + (op.shape[1], z.shape[4]))
     gin = np.matmul(op.transpose(0, 2, 1)[:, None], grad).reshape(shape)
-    # [batch, n_f, before * after, group]
-    z, grad = (np.ascontiguousarray(np.swapaxes(a, 3, 4)).reshape(a.shape[:2] + (-1, a.shape[3]))
-               for a in (z, grad))
-    dop = np.matmul(grad.transpose(0, 1, 3, 2), z).sum(axis=0)
+    dop = np.matmul(grad, z.swapaxes(3, 4)).sum(axis=(0, 2))
     return _band_operator_adjoint(dop, bands), gin
 
 

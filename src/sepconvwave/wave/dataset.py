@@ -130,19 +130,19 @@ class Scaler:
             self.stats[field] = (float(data.mean()), std if std > self._GUARD else 1.0)
         return self
 
-    # each builds one new array and finishes in place on it, with the
-    # rounding of the two-operation expression
     def transform(self, x: np.ndarray, field: str) -> np.ndarray:
+        """``(x - mean) / std`` in one new array, rounded as that expression."""
         mean, std = self.stats[field]
         out = np.subtract(x, mean)
         out /= std
         return out
 
     def inverse(self, x: np.ndarray, field: str) -> np.ndarray:
+        """``x * std + mean``, bit-equal, written into ``x`` (which is returned)."""
         mean, std = self.stats[field]
-        out = np.multiply(x, std)
-        out += mean
-        return out
+        x *= std
+        x += mean
+        return x
 
 
 # the grid block: four float64 fields, then seven u64 fields

@@ -126,6 +126,25 @@ class TestExitCodes:
         assert main(["train", "--config", TINY, "--out", str(out)]) == 2
         assert "train.wds: u at byte 264 has shape (6, 3, 8, 8)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, field, sample, column", [
+        ("train.wds", "params", 1, 0),  # omega
+        ("test.wds", "boundary_v", 2, 5),
+    ])
+    def test_dataset_with_a_non_finite_value_is_runtime_error(
+        self, tmp_path, capsys, write_wds, name, field, sample, column
+    ):
+        out = tmp_path / "run"
+        assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
+        path = out / name
+        ds = load_dataset(path)
+        arrays = {"params": ds.param_matrix()}
+        arrays.update((f, ds.stack(f).copy()) for f in ("u", "v", "boundary_u", "boundary_v"))
+        arrays[field][sample].flat[column] = float("nan")
+        write_wds(path, ds.grid, *arrays.values())
+        assert main(["train", "--config", TINY, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {path}: {field} of sample {sample} is not finite"]
+
     def test_train_on_dataset_with_invalid_grid_block_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["generate", "--config", TINY, "--out", str(out)]) == 0

@@ -109,6 +109,15 @@ class TestScaler:
         back = scaler.inverse(scaler.transform(x, "u"), "u")
         assert np.max(np.abs(back - x)) < 1e-12
 
+    def test_inverse_unscales_its_argument_in_place(self):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        scaler = Scaler().fit(generate_dataset(grid, 3, seed=10))
+        mean, std = scaler.stats["v"]
+        x = np.random.default_rng(3).standard_normal((3, 8, 6, 6))
+        expected = x * std + mean
+        assert scaler.inverse(x, "v") is x
+        assert np.array_equal(x, expected)
+
     def test_degenerate_spread_guard(self):
         grid = make_grid(nx=16, ny=16, zoom_nx=4, zoom_ny=4, nt=4)
         scaler = Scaler().fit(_constant_dataset(grid, [3.0]))
