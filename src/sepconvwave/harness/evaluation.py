@@ -119,7 +119,8 @@ def _traces_from_prediction(spec, pred_u: np.ndarray, dataset: WaveDataset) -> n
     if spec.boundary:
         return pred_u
     ii, jj = boundary_index_arrays(dataset.grid)
-    return pred_u[:, :, ii, jj]
+    ring = ii * dataset.grid.zoom_ny + jj
+    return np.take(pred_u.reshape(pred_u.shape[:2] + (-1,)), ring, axis=2)
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,10 @@ def generate_dataset(
     u = solve_zoom(params, grid)
     v = velocity_field(u, grid.dt)
     ii, jj = boundary_index_arrays(grid)
-    # indexing lays the fancy axis out first in memory; the rings are stored C-ordered
-    boundary_u, boundary_v = (np.ascontiguousarray(f[:, :, ii, jj]) for f in (u, v))
+    ring = ii * grid.zoom_ny + jj
+    boundary_u, boundary_v = (
+        np.take(f.reshape(f.shape[:2] + (-1,)), ring, axis=2) for f in (u, v)
+    )
     return WaveDataset(grid, params, u, v, boundary_u, boundary_v)
 
 

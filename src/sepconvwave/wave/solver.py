@@ -2,10 +2,10 @@
 
 Integrates ``(1/c^2) u_tt - lap(u) = f`` by leapfrog time stepping on
 the 5-point Laplacian, with a Taylor first step consistent with zero
-initial velocity.  One batched stepper serves every solve: it advances
-the interior nodes of a block of samples ``[B, nx, ny]`` together,
-keeps only the two newest time levels, and records a window of each
-level.  The full solve gives it homogeneous Dirichlet walls and a point
+initial velocity.  One batched stepper serves every solve: it steps a
+block of samples ``[B, nx, ny]`` as one contiguous span per time level,
+rewrites the ring after every step, keeps only the two newest time
+levels, and records a window of each level.  The full solve gives it homogeneous Dirichlet walls and a point
 source ``f = sin(omega t)`` at the grid node nearest each sample's
 source coordinates, scaled by ``1/(dx dy)`` as a discrete Dirac (a
 source on a wall node is dropped for that sample).  The zoom submodel
@@ -33,10 +33,10 @@ __all__ = [
     "source_node",
 ]
 
-# bytes of the two time levels and two interior temporaries per block of
-# full solves: half of a 2 MB L2, so the block's working set stays in cache
+# bytes of a block of full solves, counted as four [nx, ny] levels of doubles
+# per sample (solve_zoom); the stepper holds five, the two time levels and
+# three span buffers, so a block's working set of ~1.25 MB stays in a 2 MB L2
 _BLOCK_BYTES = 1 << 20
-_INNER = (slice(None), slice(1, -1), slice(1, -1))
 
 
 def _leapfrog(
@@ -44,46 +44,55 @@ def _leapfrog(
 ) -> None:
     """Step a block ``u[B, m, n]`` from step 0 at rest: a Taylor start, then leapfrog.
 
-    ``u`` holds step 0, ring included, and is overwritten.  Only interior
-    nodes are stepped.  ``out[:, n]`` receives the window of step ``n``
-    at ``origin``, of shape ``out.shape[2:]``.  Without ``ring`` every
-    step keeps step 0's ring; ``ring = (ii, jj, traces)`` sets step
-    ``n``'s ring nodes to ``traces[:, n]``.  ``source = (rows, i, j, f)``
-    adds ``f[:, n]`` to step ``n``'s right-hand side at interior node
-    ``(i, j)`` of each of ``rows``.
+    ``u`` holds step 0, ring included, and is overwritten.  Each time
+    level is one flat span of the block, from row 1 of the first sample
+    to row ``m - 2`` of the last; the 5-point stencil runs on it as 1-D
+    slices at offsets +-1 and +-n, in 11 passes a step with ``2 u_t``
+    formed once.  The span steps wall and ring nodes too, so one ring
+    rule overwrites them after every step, before the next step reads
+    them: without ``ring`` the walls are zero (step 0's walls for every
+    caller); ``ring = (ii, jj, traces)`` sets step ``t``'s ring nodes to
+    ``traces[:, t]``.  An interior node gets the operations of an
+    interior-only stencil on the same operands in the same order.
+    ``out[:, t]`` receives the window of step ``t`` at ``origin``, of
+    shape ``out.shape[2:]``.  ``source = (idx, f)`` adds ``f[:, t]`` to
+    step ``t``'s right-hand side at span indices ``idx``.
     """
     dx2, dy2, k = grid.dx**2, grid.dy**2, (grid.c * grid.dt) ** 2
     (ox, oy), (wx, wy) = origin, out.shape[2:]
-    cur, prev = u, u.copy()
-    rhs, tmp = np.empty_like(u[_INNER]), np.empty_like(u[_INNER])
-    out[:, 0] = cur[:, ox : ox + wx, oy : oy + wy]
-    for n in range(grid.nt - 1):
+    n, size = u.shape[2], u.size
+    span = slice(n, size - n)
+    cur, prev = u.reshape(-1), u.flatten()
+    two, rhs, tmp = (np.empty(size - 2 * n) for _ in range(3))
+    out[:, 0] = u[:, ox : ox + wx, oy : oy + wy]
+    for t in range(grid.nt - 1):
         # rhs = (a - 2c + b)/dx^2 + (d - 2c + e)/dy^2, each operation in this order
-        c = cur[_INNER]
-        np.multiply(c, 2.0, out=tmp)
-        np.subtract(cur[:, 2:, 1:-1], tmp, out=rhs)
-        np.add(rhs, cur[:, :-2, 1:-1], out=rhs)
+        np.multiply(cur[span], 2.0, out=two)
+        np.subtract(cur[2 * n :], two, out=rhs)
+        np.add(rhs, cur[: size - 2 * n], out=rhs)
         np.divide(rhs, dx2, out=rhs)
-        np.subtract(cur[:, 1:-1, 2:], tmp, out=tmp)
-        np.add(tmp, cur[:, 1:-1, :-2], out=tmp)
+        np.subtract(cur[n + 1 : size - n + 1], two, out=tmp)
+        np.add(tmp, cur[n - 1 : size - n - 1], out=tmp)
         np.divide(tmp, dy2, out=tmp)
         np.add(rhs, tmp, out=rhs)
         if source is not None:
-            rows, i, j, f = source
-            rhs[rows, i - 1, j - 1] += f[:, n]
-        if n == 0:  # u_1 = u_0 + (0.5 k) rhs
+            idx, f = source
+            rhs[idx] += f[:, t]
+        if t == 0:  # u_1 = u_0 + (0.5 k) rhs
             np.multiply(rhs, 0.5 * k, out=rhs)
-            np.add(c, rhs, out=prev[_INNER])
-        else:  # u_{n+1} = (2 u_n - u_{n-1}) + k rhs, written over u_{n-1}
-            np.multiply(c, 2.0, out=tmp)
-            np.subtract(tmp, prev[_INNER], out=tmp)
+            np.add(cur[span], rhs, out=prev[span])
+        else:  # u_{t+1} = (2 u_t - u_{t-1}) + k rhs, written over u_{t-1}
+            np.subtract(two, prev[span], out=two)
             np.multiply(rhs, k, out=rhs)
-            np.add(tmp, rhs, out=prev[_INNER])
+            np.add(two, rhs, out=prev[span])
         cur, prev = prev, cur
-        if ring is not None:
+        level = cur.reshape(u.shape)
+        if ring is None:
+            level[:, 0] = level[:, -1] = level[:, :, 0] = level[:, :, -1] = 0.0
+        else:
             ii, jj, traces = ring
-            cur[:, ii, jj] = traces[:, n + 1]
-        out[:, n + 1] = cur[:, ox : ox + wx, oy : oy + wy]
+            level[:, ii, jj] = traces[:, t + 1]
+        out[:, t + 1] = level[:, ox : ox + wx, oy : oy + wy]
 
 
 def source_node(params: WaveParams, grid: GridSpec) -> tuple[int, int]:
@@ -97,17 +106,20 @@ def _full_solve(params: Sequence[WaveParams], grid: GridSpec, u: np.ndarray, out
     """Full-domain solves of ``params`` from step 0 ``u[B, nx, ny]`` (zero ring)."""
     grid.validate()
     amplitude = 1.0 / (grid.dx * grid.dy)
-    rows, nodes, f = [], [], []
+    rows, nodes, omega = [], [], []
     for b, p in enumerate(params):
         si, sj = source_node(p, grid)
         if 0 < si < grid.nx - 1 and 0 < sj < grid.ny - 1:
             rows.append(b)
             nodes.append((si, sj))
-            f.append([np.sin(p.omega * n * grid.dt) * amplitude for n in range(grid.nt - 1)])
+            omega.append(p.omega)
     source = None
     if rows:
         i, j = np.array(nodes).T
-        source = (np.array(rows), i, j, np.array(f))
+        steps = np.arange(grid.nt - 1)
+        f = np.sin(np.array(omega)[:, None] * steps * grid.dt) * amplitude
+        # node (row, i, j) sits n before its place in the [B, m, n] block, m = nx, n = ny
+        source = (np.array(rows) * grid.nx * grid.ny + i * grid.ny + j - grid.ny, f)
     _leapfrog(u, grid, out, origin, source=source)
 
 
