@@ -164,8 +164,13 @@ def _mean_epoch_seconds(cell_dir: Path) -> float | None:
     timing = cell_dir / "timing.csv"
     if not timing.exists():
         return None
-    rows = timing.read_text().splitlines()[1:]
-    seconds = [float(r.split(",")[1]) for r in rows]
+    seconds = []
+    for n, row in enumerate(timing.read_text().splitlines()[1:], start=2):
+        try:
+            _, value = row.split(",")
+            seconds.append(float(value))
+        except ValueError:
+            raise ValueError(f"{timing}: line {n}: {row!r} is not epoch,seconds") from None
     if len(seconds) < 2:
         return float(np.mean(seconds)) if seconds else None
     return float(np.mean(seconds[1:]))  # epoch 1 excluded as warm-up

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import Model, fold_batchnorm
-from ..wave import (
-    Scaler,
-    WaveDataset,
-    boundary_index_arrays,
-    submodel_solve_batch,
-    velocity_field,
-)
+from ..wave import Scaler, WaveDataset, ring_traces, submodel_solve_batch, velocity_field
 from .training import ParamScaler, prepare_inputs
 from .variants import VariantSpec
 
@@ -118,9 +112,7 @@ def _traces_from_prediction(spec, pred_u: np.ndarray, dataset: WaveDataset) -> n
         )
     if spec.boundary:
         return pred_u
-    ii, jj = boundary_index_arrays(dataset.grid)
-    ring = ii * dataset.grid.zoom_ny + jj
-    return np.take(pred_u.reshape(pred_u.shape[:2] + (-1,)), ring, axis=2)
+    return ring_traces(pred_u, dataset.grid)
 
 
 @dataclass(frozen=True)

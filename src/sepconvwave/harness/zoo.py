@@ -260,20 +260,11 @@ def build_model(
     w = resolve_widths(widths)
     builder = _BUILDERS[spec.name]
     rng = np.random.default_rng(seed)
-    if spec.shared:
-        head_map = {}
-        trunk = None
-        for h in heads:
-            prefix, final = builder(spec, grid, w, rng)
-            if trunk is None:
-                trunk = prefix
-            # later builds' prefixes are discarded; the redraw keeps head
-            # inits mutually independent with a deterministic draw order
-            head_map[h] = final
-    else:
-        trunk = []
-        head_map = {}
-        for h in heads:
-            prefix, final = builder(spec, grid, w, rng)
-            head_map[h] = prefix + final
+    # one build per head, in head order; with SL the first build's prefix is
+    # the trunk and later prefixes are discarded, a redraw that keeps head
+    # inits mutually independent with a deterministic draw order
+    builds = [builder(spec, grid, w, rng) for _ in heads]
+    trunk = builds[0][0] if spec.shared else []
+    head_map = {h: final if spec.shared else prefix + final
+                for h, (prefix, final) in zip(heads, builds)}
     return Model(trunk, head_map, input_shape=(spec.input_dim,), variant=spec.name)

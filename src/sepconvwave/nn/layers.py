@@ -66,7 +66,8 @@ one, and the kernel contracted with its axes' bands is a dense operator
   before, group, after]``, the forward pass is ``A @ z``, the input
   gradient ``A^T @ g`` and the operator gradient ``g @ z^T`` summed over
   batch and ``before``, which the bands' adjoint turns into the kernel
-  gradient.  So neither pass moves an axis or copies the input or its
+  gradient.  On a group whose axes are adjacent and in order, as in every
+  layer of the zoo, neither pass moves an axis or copies the input or its
   gradient, and the output is C-ordered.
 
 The whole operator pays ``prod(n)`` multiply-adds per output, not k taps,
@@ -75,6 +76,11 @@ not for stage 0: for Conv3D's second layer at desk scale a three-axis
 operator would hold 14 * 864 * 384 = 4.6M entries (37 MB) and cost 116M
 multiply-adds per forward at batch 25, against 11M for the windowed
 contraction (36 merged taps per output).
+
+Each engine takes a stage's input as :class:`SeparableConv` holds it
+(``[batch, *spatial]`` at stage 0, ``[batch, n_f, *spatial]`` later),
+makes its own axis moves and undoes them in its backward, so the layer's
+forward and backward are each one engine call per stage.
 """
 
 from __future__ import annotations
@@ -268,16 +274,20 @@ def _stage0_plan(shape, kernel_shape, factors) -> _Stage0:
     )
 
 
-def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
-    """Stage 0: valid correlation of ``z`` repeated ``factors``-fold along its trailing axes.
+def _polyphase(z: np.ndarray, kernel: np.ndarray, group, factors):
+    """Stage 0: valid correlation of ``z`` repeated ``factors``-fold along ``group``'s axes.
 
-    Executes :func:`_stage0_plan`'s geometry (see the module docstring):
-    the merged kernels from ``kernel``, one contraction per batch chunk
-    over a sliding-window view, written into that chunk's rows of one
-    output, one reshape to interleave the phases and one slice to crop.
-    Returns the output and ``(input, merged kernels, plan)`` for
+    ``z`` is ``[batch, *spatial]``, the input every filter shares.  The
+    group's axes are moved last, and :func:`_stage0_plan`'s geometry
+    is executed on them (see the module docstring): the merged kernels
+    from ``kernel``, one contraction per batch chunk over a sliding-window
+    view, written into that chunk's rows of one output, one reshape to
+    interleave the phases and one slice to crop.  The output ``[batch,
+    n_f, *spatial]`` has the group's axes back in their places.  Returns
+    it and ``(moved input, merged kernels, plan, group)`` for
     :func:`_polyphase_backward`.
     """
+    z = np.moveaxis(z, [1 + a for a in group], range(-len(group), 0))
     plan = _stage0_plan(z.shape, kernel.shape, factors)
     phase = _band_operator(kernel, plan.bands).reshape(plan.phase_shape)
     if plan.pad:
@@ -286,20 +296,23 @@ def _polyphase(z: np.ndarray, kernel: np.ndarray, factors):
     y = np.empty(plan.positions)
     for rows in plan.chunks:
         np.einsum(plan.forward, windows[rows], phase, out=y[rows], optimize=True)
-    return y.reshape(plan.interleaved)[plan.crop], (z, phase, plan)
+    y = y.reshape(plan.interleaved)[plan.crop]
+    return np.moveaxis(y, range(-len(group), 0), [2 + a for a in group]), (z, phase, plan, group)
 
 
 def _polyphase_backward(grad: np.ndarray, stage):
     """Kernel and input gradients of :func:`_polyphase`, the input's un-repeated.
 
-    Executes the forward's plan.  The output gradient, zero-padded over
-    the cropped phases, is viewed as (position, phase) pairs
-    (space-to-depth).  The merged kernels' gradient is the forward's
+    Executes the forward's plan on ``grad`` with the group's axes moved
+    last, and moves them back on the input gradient.  The output gradient,
+    zero-padded over the cropped phases, is viewed as (position, phase)
+    pairs (space-to-depth).  The merged kernels' gradient is the forward's
     contraction with the gradient in the kernel's place, scatter-added
     onto the kernel's taps by :func:`_band_operator_adjoint`; the input
     gradient is the contraction's adjoint, adding the phases up on ``z``.
     """
-    z, phase, plan = stage
+    z, phase, plan, group = stage
+    grad = np.moveaxis(grad, [2 + a for a in group], range(-len(group), 0))
     if plan.grad_pad:
         grad = np.pad(grad, plan.grad_pad)
     grad = grad.reshape(plan.positions)
@@ -311,67 +324,68 @@ def _polyphase_backward(grad: np.ndarray, stage):
         part = gin[rows]
         for tap, slab in plan.slabs:
             part[slab] += cols[tap]
-    return _band_operator_adjoint(dphase.reshape(len(dphase), -1), plan.bands), gin[plan.unpad]
+    gin = np.moveaxis(gin[plan.unpad], range(-len(group), 0), [1 + a for a in group])
+    return _band_operator_adjoint(dphase.reshape(len(dphase), -1), plan.bands), gin
 
 
-def _banded(z: np.ndarray, kernel: np.ndarray, factors):
-    """A depthwise stage: valid correlation of ``z`` repeated ``factors``-fold.
+def _banded(z: np.ndarray, kernel: np.ndarray, group, factors):
+    """A depthwise stage: valid correlation of ``z`` repeated ``factors``-fold along ``group``.
 
-    ``z`` is ``[batch, n_f, before, *group, after]`` (see :func:`_along`),
-    or ``[batch, n_f, before, *group]`` with ``after = 1``, and each
-    filter correlates its own slice over the group axes.  The stage is
-    one dense operator per filter (:func:`_band_operator`) applied as
-    ``A @ z`` to each ``[group, after]`` slice, so the input is never
+    ``z`` is ``[batch, n_f, *spatial]``, and each filter correlates its
+    own slice over the group's axes.  The stage is one dense operator per
+    filter (:func:`_band_operator`) applied as ``A @ z`` to each ``[group,
+    after]`` slice of :func:`_along`'s view, so the input is never
     transposed, the output is C-ordered, and the repeat is never built.
     The operator has ``n_f * prod(f*n - k + 1) * prod(n)`` entries and
     costs ``prod(n)`` multiply-adds per output in place of k taps; for
     the one-axis groups of the zoo on the committed configs that is at
     most 11,520 entries (Conv1.5D_Boundary on ``desk.cfg``).  Returns the
-    output and the plan that :func:`_banded_backward` reuses.
+    output ``[batch, n_f, *spatial]`` and ``(view, operator, bands, group,
+    moved shape)`` for :func:`_banded_backward`.
     """
-    g = len(factors)
-    bands = [_band(k, f, n) for k, f, n in zip(kernel.shape[1:], factors, z.shape[3:3 + g])]
+    x, moved = _along(z, group)
+    lo, g = 2 + min(group), len(group)
+    bands = [_band(k, f, n) for k, f, n in zip(kernel.shape[1:], factors, moved[lo:lo + g])]
     op = _band_operator(kernel, bands)
-    shape = z.shape[:3] + tuple(band.shape[1] for band in bands) + z.shape[3 + g:]
-    x = z.reshape(z.shape[:3] + (op.shape[2], math.prod(z.shape[3 + g:])))
-    return np.matmul(op[:, None], x).reshape(shape), (x, op, bands, z.shape)
+    out = moved[:lo] + tuple(band.shape[1] for band in bands) + moved[lo + g:]
+    return _unalong(np.matmul(op[:, None], x), out, group), (x, op, bands, group, moved)
 
 
 def _banded_backward(grad: np.ndarray, plan):
     """Kernel and input gradients of :func:`_banded`, the input's un-repeated.
 
-    On each ``[group, after]`` slice of the forward's view, the input
-    gradient is ``A^T @ g`` and the operator gradient ``g @ z^T``, summed
-    over batch and ``before`` and turned into the kernel gradient by the
-    bands' adjoint.  Neither moves an axis of ``z`` or ``g``.
+    On each ``[group, after]`` slice of the forward's view and of
+    :func:`_along`'s view of ``grad``, the input gradient is ``A^T @ g``
+    and the operator gradient ``g @ z^T``, summed over batch and
+    ``before`` and turned into the kernel gradient by the bands' adjoint.
+    For a group whose axes are adjacent and in order, neither view is a copy.
     """
-    z, op, bands, shape = plan
-    grad = grad.reshape(z.shape[:3] + (op.shape[1], z.shape[4]))
-    gin = np.matmul(op.transpose(0, 2, 1)[:, None], grad).reshape(shape)
-    dop = np.matmul(grad, z.swapaxes(3, 4)).sum(axis=(0, 2))
-    return _band_operator_adjoint(dop, bands), gin
+    x, op, bands, group, moved = plan
+    grad = _along(grad, group)[0]
+    gin = np.matmul(op.transpose(0, 2, 1)[:, None], grad)
+    dop = np.matmul(grad, x.swapaxes(3, 4)).sum(axis=(0, 2))
+    return _band_operator_adjoint(dop, bands), _unalong(gin, moved, group)
 
 
 def _along(z: np.ndarray, group):
-    """``z [batch, n_f, *spatial]`` as :func:`_banded` reads it along ``group``'s axes.
+    """``z [batch, n_f, *spatial]`` viewed as ``[batch, n_f, before, group, after]``.
 
     The group's axes are moved next to each other, in group order, at
     the first one's place: a no-op when they are adjacent and in order,
-    as in every layer of the zoo.  The axes before and after them are
-    then flattened into one each (extent 1 when there are none).  Returns
-    that view and the moved shape, for :func:`_unalong`.
+    as in every layer of the zoo.  The axes before, in and after the
+    group are then flattened into one each (extent 1 when there are
+    none).  Returns that view and the moved shape, for :func:`_unalong`.
     """
     lo, g = 2 + min(group), len(group)
     z = np.moveaxis(z, [2 + a for a in group], range(lo, lo + g))
-    head = z.shape[:2] + (math.prod(z.shape[2:lo]),) + z.shape[lo:lo + g]
-    return z.reshape(head + (math.prod(z.shape[lo + g:]),)), z.shape
+    flat = (math.prod(z.shape[2:lo]), math.prod(z.shape[lo:lo + g]), math.prod(z.shape[lo + g:]))
+    return z.reshape(z.shape[:2] + flat), z.shape
 
 
 def _unalong(y: np.ndarray, moved, group) -> np.ndarray:
-    """:func:`_along` undone on a stage's result, whose group axes have new extents."""
+    """:func:`_along` undone: ``y`` reshaped to the moved shape and its group axes put back."""
     lo, g = 2 + min(group), len(group)
-    y = y.reshape(moved[:lo] + y.shape[3:3 + g] + moved[lo + g:])
-    return np.moveaxis(y, range(lo, lo + g), [2 + a for a in group])
+    return np.moveaxis(y.reshape(moved), range(lo, lo + g), [2 + a for a in group])
 
 
 class Dense(Layer):
@@ -495,17 +509,9 @@ class SeparableConv(Layer):
         z = small.sum(axis=1)
         plans = []
         for s, (group, ker) in enumerate(zip(self.groups, self.stage_kernels)):
-            stage_factors = tuple(factors[a] for a in group)
-            if s:
-                # a depthwise stage runs along its axes where they lie
-                z, moved = _along(z, group)
-                z, plan = _banded(z, ker.value, stage_factors)
-                z = _unalong(z, moved, group)
-            else:
-                # stage 0 reads the input every filter shares, its group's axes last
-                z = np.moveaxis(z, [1 + a for a in group], range(z.ndim - len(group), z.ndim))
-                z, plan = _polyphase(z, ker.value, stage_factors)
-                z = np.moveaxis(z, range(z.ndim - len(group), z.ndim), [2 + a for a in group])
+            # stage 0 reads the input every filter shares; the later stages are depthwise
+            z, plan = (_banded if s else _polyphase)(z, ker.value, group,
+                                                     tuple(factors[a] for a in group))
             if training:
                 plans.append(plan)
             del plan  # an eval forward frees each stage's input once the stage is done
@@ -522,15 +528,7 @@ class SeparableConv(Layer):
         self.bias.grad += grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
         g = grad
         for s in reversed(range(len(self.groups))):
-            group = self.groups[s]
-            if s:
-                g, moved = _along(g, group)
-                kgrad, g = _banded_backward(g, plans[s])
-                g = _unalong(g, moved, group)
-            else:
-                g = np.moveaxis(g, [2 + a for a in group], range(g.ndim - len(group), g.ndim))
-                kgrad, g = _polyphase_backward(g, plans[0])
-                g = np.moveaxis(g, range(g.ndim - len(group), g.ndim), [1 + a for a in group])
+            kgrad, g = (_banded_backward if s else _polyphase_backward)(g, plans[s])
             self.stage_kernels[s].grad += kgrad
         # every input channel gets the same gradient: a read-only view, no copy
         return np.broadcast_to(g[:, None], (len(g), self.c_in) + g.shape[1:])

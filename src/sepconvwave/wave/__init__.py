@@ -7,7 +7,8 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
-from .grid import GridSpec, boundary_index_arrays, extract_boundary, make_grid, restrict
+from .grid import (GridSpec, boundary_index_arrays, extract_boundary, make_grid, restrict,
+                   ring_index, ring_traces)
 from .sampling import WaveParams, lhs_sample
 from .solver import (
     solve_wave,
@@ -32,6 +33,8 @@ __all__ = [
     "load_dataset",
     "make_grid",
     "restrict",
+    "ring_index",
+    "ring_traces",
     "save_dataset",
     "solve_wave",
     "solve_zoom",

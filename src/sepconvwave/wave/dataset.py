@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..records import RecordReader, atomic_write, write_array, write_header
-from .grid import GridSpec, boundary_index_arrays
+from .grid import GridSpec, ring_traces
 from .sampling import WaveParams, lhs_sample
 from .solver import solve_zoom, velocity_field
 
@@ -105,12 +105,7 @@ def generate_dataset(
     params = tuple(lhs_sample(n_samples, bounds, seed=seed, exclusion=grid.zoom_footprint()))
     u = solve_zoom(params, grid)
     v = velocity_field(u, grid.dt)
-    ii, jj = boundary_index_arrays(grid)
-    ring = ii * grid.zoom_ny + jj
-    boundary_u, boundary_v = (
-        np.take(f.reshape(f.shape[:2] + (-1,)), ring, axis=2) for f in (u, v)
-    )
-    return WaveDataset(grid, params, u, v, boundary_u, boundary_v)
+    return WaveDataset(grid, params, u, v, ring_traces(u, grid), ring_traces(v, grid))
 
 
 class Scaler:

@@ -2,10 +2,11 @@
 
 The full domain ``[-lx, lx] x [-ly, ly]`` is discretized by ``nx x ny``
 nodes including the boundary; the zone of interest is a contiguous index
-window of that node set, so restriction is a pure index-window copy and
-the window's rectangle ring gives the boundary-trace nodes.  The time
-step is tied to the explicit-scheme stability bound
-``c * dt * sqrt(1/dx^2 + 1/dy^2) <= 1``.
+window of that node set, so restriction is a pure index-window copy.  The
+window's rectangle ring gives the boundary-trace nodes: :func:`ring_index`
+alone fixes their order, and every trace is read (:func:`ring_traces`) or
+written through it.  The time step is tied to the explicit-scheme
+stability bound ``c * dt * sqrt(1/dx^2 + 1/dy^2) <= 1``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridSpec", "make_grid", "restrict", "extract_boundary", "boundary_index_arrays"]
+__all__ = ["GridSpec", "make_grid", "restrict", "ring_index", "ring_traces", "extract_boundary",
+           "boundary_index_arrays"]
 
 
 @dataclass(frozen=True)
@@ -156,27 +158,30 @@ def restrict(field: np.ndarray, grid: GridSpec) -> np.ndarray:
     ].copy()
 
 
-def boundary_index_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Zoom-relative (i, j) indices of the window's rectangle ring.
+def ring_index(grid: GridSpec) -> np.ndarray:
+    """The window's rectangle ring as flat indices into a C-ordered ``[zoom_nx, zoom_ny]`` window.
 
     Canonical order: first row, last row, then the interior of the first
     and last columns.  The order is part of the trace format.
     """
     znx, zny = grid.zoom_nx, grid.zoom_ny
-    ii = []
-    jj = []
-    ii += [0] * zny
-    jj += list(range(zny))
-    ii += [znx - 1] * zny
-    jj += list(range(zny))
-    ii += list(range(1, znx - 1))
-    jj += [0] * (znx - 2)
-    ii += list(range(1, znx - 1))
-    jj += [zny - 1] * (znx - 2)
-    return np.array(ii), np.array(jj)
+    rows = np.arange(1, znx - 1) * zny
+    return np.concatenate([np.arange(zny), (znx - 1) * zny + np.arange(zny), rows, rows + zny - 1])
+
+
+def boundary_index_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Zoom-relative ``(i, j)`` indices of :func:`ring_index`'s nodes, in its order."""
+    return np.divmod(ring_index(grid), grid.zoom_ny)
+
+
+def ring_traces(window: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Traces ``[..., n_boundary]`` of ``[..., zoom_nx, zoom_ny]`` window fields on the ring."""
+    if window.shape[-2:] != (grid.zoom_nx, grid.zoom_ny):
+        raise ValueError(f"expected trailing shape ({grid.zoom_nx}, {grid.zoom_ny}), "
+                         f"got {window.shape}")
+    return np.take(window.reshape(window.shape[:-2] + (-1,)), ring_index(grid), axis=-1)
 
 
 def extract_boundary(field: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Traces of a full-domain ``[nt, nx, ny]`` or ``[nx, ny]`` field on the zoom ring."""
-    ii, jj = boundary_index_arrays(grid)
-    return restrict(field, grid)[..., ii, jj]
+    return ring_traces(restrict(field, grid), grid)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridSpec, boundary_index_arrays
+from .grid import GridSpec, ring_index
 from .sampling import WaveParams
 
 __all__ = [
@@ -51,7 +51,8 @@ def _leapfrog(
     formed once.  The span steps wall and ring nodes too, so one ring
     rule overwrites them after every step, before the next step reads
     them: without ``ring`` the walls are zero (step 0's walls for every
-    caller); ``ring = (ii, jj, traces)`` sets step ``t``'s ring nodes to
+    caller); ``ring = (index, traces)`` sets step ``t``'s ring nodes, the
+    flat :func:`~sepconvwave.wave.grid.ring_index` of each sample, to
     ``traces[:, t]``.  An interior node gets the operations of an
     interior-only stencil on the same operands in the same order.
     ``out[:, t]`` receives the window of step ``t`` at ``origin``, of
@@ -90,8 +91,8 @@ def _leapfrog(
         if ring is None:
             level[:, 0] = level[:, -1] = level[:, :, 0] = level[:, :, -1] = 0.0
         else:
-            ii, jj, traces = ring
-            level[:, ii, jj] = traces[:, t + 1]
+            index, traces = ring
+            level.reshape(len(u), -1)[:, index] = traces[:, t + 1]
         out[:, t + 1] = level[:, ox : ox + wx, oy : oy + wy]
 
 
@@ -183,11 +184,11 @@ def submodel_solve_batch(
         ):
             raise ValueError(f"sample {b}: source node lies inside the zoom window interior")
 
-    ii, jj = boundary_index_arrays(grid)
+    index = ring_index(grid)
     u = np.zeros((len(params), znx, zny))
-    u[:, ii, jj] = traces[:, 0]
+    u.reshape(len(u), -1)[:, index] = traces[:, 0]
     out = np.empty((len(params), grid.nt, znx, zny))
-    _leapfrog(u, grid, out, ring=(ii, jj, traces))
+    _leapfrog(u, grid, out, ring=(index, traces))
     return out
 
 

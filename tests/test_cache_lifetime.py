@@ -93,9 +93,9 @@ def test_eval_forward_frees_each_stage_input_when_the_stage_is_done(name, monkey
     held = []  # at each stage's start, how many earlier inputs are still alive
 
     def probed(step):
-        def wrapper(z, kernel, factors):
+        def wrapper(z, kernel, group, factors):
             held.append(sum(ref() is not None for ref in kept))
-            out, plan = step(z, kernel, factors)
+            out, plan = step(z, kernel, group, factors)
             kept.append(weakref.ref(plan[0]))
             return out, plan
 

@@ -169,6 +169,18 @@ class TestExitCodes:
         assert f"results.csv: {message}" in capsys.readouterr().err
         assert not (out / "tables.txt").exists()
 
+    @pytest.mark.parametrize("row", ["1,abc", "1"], ids=["not_a_float", "one_field"])
+    def test_evaluate_on_a_malformed_timing_row_is_runtime_error(
+        self, trained_run, tmp_path, capsys, row
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(trained_run, out)
+        (timing,) = out.glob("*/timing.csv")
+        timing.write_text(f"epoch,seconds\n0,0.5\n{row}\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", TINY, "--out", str(out)]) == 2
+        assert f"{timing}: line 3: {row!r} is not epoch,seconds" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

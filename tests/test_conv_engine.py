@@ -23,8 +23,10 @@ BATCH, N_F, TAPS = 7, 3, (2, 3)
 
 
 def _engine(z, kernel, grad):
-    # stage 0 at factor 1 on every axis: one phase, whose merged kernel is the kernel
-    out, stage = layers._polyphase(z, kernel, (1,) * len(TAPS))
+    # stage 0 at factor 1 on every axis: one phase, whose merged kernel is the kernel;
+    # its group is the trailing spatial axes
+    group = tuple(range(z.ndim - 1 - len(TAPS), z.ndim - 1))
+    out, stage = layers._polyphase(z, kernel, group, (1,) * len(TAPS))
     kgrad, igrad = layers._polyphase_backward(grad, stage)
     return (out, kgrad, igrad), stage[2].chunks
 
@@ -99,7 +101,7 @@ def test_banded_stage_matches_conv_of_the_repeat(factors, taps, small):
     engines = [("banded", z, layers._banded, layers._banded_backward, True),
                ("stage 0", shared, layers._polyphase, layers._polyphase_backward, False)]
     for engine, x, forward, backward, filter_axis in engines:
-        out, plan = forward(x, kernel, factors)
+        out, plan = forward(x, kernel, tuple(range(1, 1 + len(factors))), factors)
         kgrad, igrad = backward(grad, plan)
         repeated = x
         for axis, f in enumerate(factors, start=x.ndim - len(factors)):

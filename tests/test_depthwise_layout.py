@@ -49,11 +49,9 @@ def _moved(z, kernel, factors, group, grad):
 
 def _in_place(z, kernel, factors, group, grad):
     """The stage as ``SeparableConv`` runs it, along its axes where they lie."""
-    view, moved = layers._along(z, group)
-    y, plan = layers._banded(view, kernel, factors)
-    grad_view, grad_moved = layers._along(grad, group)
-    kgrad, gin = layers._banded_backward(grad_view, plan)
-    return layers._unalong(y, moved, group), kgrad, layers._unalong(gin, grad_moved, group)
+    y, plan = layers._banded(z, kernel, group, factors)
+    kgrad, gin = layers._banded_backward(grad, plan)
+    return y, kgrad, gin
 
 
 def _depthwise_stages(model, batch=BATCH):
@@ -135,8 +133,7 @@ def test_backward_copies_neither_the_stage_input_nor_its_gradient(shape, group, 
     and bookkeeping, each below the smallest stage input or gradient.
     """
     z, kernel, grad = _stage_arrays(shape, group, extents, factors)
-    _, plan = layers._banded(layers._along(z, group)[0], kernel, factors)
-    grad = layers._along(grad, group)[0]
+    _, plan = layers._banded(z, kernel, group, factors)
     x, op = plan[:2]
     products = 8 * math.prod(x.shape[:3] + op.shape[1:])  # [batch, n_f, before, out, in]
     tracemalloc.start()

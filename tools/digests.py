@@ -1,11 +1,12 @@
-"""Print the sha256 of every primary output of ``generate`` and ``train``.
+"""Print the sha256 of every primary output of ``generate``, ``train`` and ``evaluate``.
 
 Runs the command-line entry point in a temporary directory:
 
 * ``generate`` on ``configs/{desk,sweep,tiny}.cfg`` at seeds 0, 1 and 2;
 * ``train`` on ``configs/tiny.cfg`` at seed 0 for Conv3D, Conv2.5D and
-  Conv2.5Db, each with Basic and BN regularization, from temporary
-  copies of the config.
+  Conv2.5Db, each with Basic, BN and SL regularization (SL covers the
+  shared trunk's draw order), from temporary copies of the config;
+* ``evaluate`` over those nine cells.
 
 It prints one ``sha256  relative/path`` line per primary output
 (``*.wds``, ``checkpoint.scnn``, ``history.csv``, ``run_config.cfg``),
@@ -13,8 +14,12 @@ the files the determinism contract covers; ``timing.csv`` is left out.
 Each ``*.wds`` also gets a ``sha256  relative/path:arrays`` line over its
 decoded ``params``, ``u``, ``v``, ``boundary_u`` and ``boundary_v`` (shape
 and float64 bytes), which stays the same across a change of the file's
-layout when the data does not change.  Running it in two checkouts and
-diffing the outputs checks that a change keeps those bytes:
+layout when the data does not change.  ``results.csv`` gets one ``sha256
+relative/path:no-epoch_seconds`` line over its rows other than
+``epoch_seconds``, which come from the timings; it covers the
+prediction, the ring traces and the zoom re-solve.  Running it in two
+checkouts and diffing the outputs checks that a change keeps those
+bytes:
 
     python tools/digests.py > digests.txt
 
@@ -39,7 +44,8 @@ from sepconvwave.wave import load_dataset  # noqa: E402
 
 CONFIGS = ("desk", "sweep", "tiny")
 SEEDS = (0, 1, 2)
-CELLS = [(v, r) for v in ("Conv3D", "Conv2.5D", "Conv2.5Db") for r in ("Basic", "BN")]
+VARIANTS = ("Conv3D", "Conv2.5D", "Conv2.5Db")
+REGULARIZATIONS = ("Basic", "BN", "SL")
 PRIMARY = ("*.wds", "checkpoint.scnn", "history.csv", "run_config.cfg")
 DATASET_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
@@ -60,11 +66,17 @@ def _arrays_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _cell_config(tmp: Path, variant: str, regularization: str) -> Path:
+def _results_digest(path: Path) -> str:
+    rows = path.read_text().splitlines(keepends=True)
+    kept = [row for row in rows if row.split(",")[2:3] != ["epoch_seconds"]]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+def _config(path: Path, **keys: str) -> Path:
+    """A copy of ``configs/tiny.cfg`` at ``path`` with ``keys`` set."""
     text = (ROOT / "configs" / "tiny.cfg").read_text()
-    text = re.sub(r"^variant = .*$", f"variant = {variant}", text, flags=re.M)
-    text = re.sub(r"^regularization = .*$", f"regularization = {regularization}", text, flags=re.M)
-    path = tmp / f"tiny_{variant}_{regularization}.cfg"
+    for key, value in keys.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     path.write_text(text)
     return path
 
@@ -76,14 +88,22 @@ def main_digests() -> None:
             for seed in SEEDS:
                 _run("generate", "--config", str(ROOT / "configs" / f"{config}.cfg"),
                      "--seed", str(seed), "--out", str(tmp / config / f"seed{seed}"))
-        for variant, regularization in CELLS:
-            _run("train", "--config", str(_cell_config(tmp, variant, regularization)),
-                 "--seed", "0", "--out", str(tmp / "tiny" / "seed0"))
+        run = tmp / "tiny" / "seed0"
+        for variant in VARIANTS:
+            for regularization in REGULARIZATIONS:
+                cell = _config(tmp / f"tiny_{variant}_{regularization}.cfg",
+                               variant=variant, regularization=regularization)
+                _run("train", "--config", str(cell), "--seed", "0", "--out", str(run))
+        cells = _config(tmp / "tiny_evaluate.cfg", variants=", ".join(VARIANTS),
+                        regularizations=", ".join(REGULARIZATIONS))
+        _run("evaluate", "--config", str(cells), "--seed", "0", "--out", str(run))
         outputs = sorted({p for pattern in PRIMARY for p in tmp.rglob(pattern)})
         for path in outputs:
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(tmp)}")
             if path.suffix == ".wds":
                 print(f"{_arrays_digest(path)}  {path.relative_to(tmp)}:arrays")
+        results = run / "results.csv"
+        print(f"{_results_digest(results)}  {results.relative_to(tmp)}:no-epoch_seconds")
 
 
 if __name__ == "__main__":
