@@ -7,6 +7,12 @@ fields (normalized by the velocity spread so it lives on the same scale
 as the MSE terms) is added with a fixed weight.  Training is
 deterministic given the seed: initialization, shuffling and batching all
 draw from one generator.
+
+The MSE is scored in block form: each head's coarse training output
+(:meth:`~sepconvwave.nn.Model.output_repeat`) against the block means of
+its targets, which :func:`train` computes once per call.  The final
+repeat is built only for the time residual, which needs the full
+fields.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..nn import Adam, Model, lr_schedule, mse, mse_grad
+from ..nn import Adam, Model, block_mse, block_targets, lr_schedule
 from ..nn.losses import euler_residual, euler_residual_grads
 from ..wave import Scaler, WaveDataset
 from .variants import VariantSpec
@@ -166,7 +172,10 @@ def train(
 
     The unit of batching is one sample, or one whole (sample x time
     grid) group for slice-wise models under the time residual, which
-    needs complete time series.  Aborts on non-finite loss.
+    needs complete time series.  Each head's MSE scores its coarse
+    output against block means of ``targets`` (:func:`block_mse`); the
+    time residual repeats the coarse outputs onto the full fields and
+    block-sums its gradients back.  Aborts on non-finite loss.
     """
     opt = Adam(model.parameters(), lr=settings.lr0)
     rng = np.random.default_rng(settings.seed)
@@ -175,6 +184,13 @@ def train(
     else:
         n_units, rows = inputs.shape[0], 1
     batch_units = n_units if settings.batch_size <= 0 else min(settings.batch_size, n_units)
+    blocks = {}
+    for head in model.head_names:
+        shape, factors = model.output_repeat(head)
+        full = tuple(n * f for n, f in zip(shape, factors))
+        t = targets[head]
+        means, spread = block_targets(t.reshape((len(t),) + full), factors)
+        blocks[head] = means, spread, int(np.prod(factors))
 
     result = TrainResult()
     for epoch in range(settings.epochs):
@@ -195,16 +211,16 @@ def train(
             grads = {}
             losses = {}
             for head in out:
-                tgt = targets[head][idx]
-                losses[head] = mse(out[head], tgt)
-                grads[head] = mse_grad(out[head], tgt)
+                means, spread, m = blocks[head]
+                losses[head], grads[head] = block_mse(out[head], means[idx], spread[idx], m)
             e_val = 0.0
             if euler is not None:
                 if set(out) != {"u", "v"}:
                     raise ValueError("the time residual needs both field heads")
-                e_val, gu, gv = _euler_terms(out["u"], out["v"], euler, settings.lambda_euler)
-                grads["u"] = grads["u"] + gu
-                grads["v"] = grads["v"] + gv
+                u, v = (model.repeat_output(h, out[h]) for h in ("u", "v"))
+                e_val, gu, gv = _euler_terms(u, v, euler, settings.lambda_euler)
+                grads["u"] = grads["u"] + model.block_sum("u", gu)
+                grads["v"] = grads["v"] + model.block_sum("v", gv)
             total = sum(losses.values()) + settings.lambda_euler * e_val
             if not np.isfinite(total):
                 raise RuntimeError(f"training diverged at epoch {epoch}: loss={total}")

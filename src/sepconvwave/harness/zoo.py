@@ -257,6 +257,9 @@ def build_model(
     """
     if not heads or any(h not in ("u", "v") for h in heads):
         raise ValueError(f"heads must be a subset of ('u', 'v'), got {heads}")
+    for h in heads:
+        if heads.count(h) > 1:
+            raise ValueError(f"head {h!r} is repeated in {heads}")
     w = resolve_widths(widths)
     builder = _BUILDERS[spec.name]
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ from .layers import (
     Tanh,
     Upsample,
 )
-from .losses import euler_residual, euler_residual_grads, mse, mse_grad
+from .losses import block_mse, block_targets, euler_residual, euler_residual_grads, mse, mse_grad
 from .model import Model, count_params, fold_batchnorm
 from .optim import Adam, lr_schedule
 
@@ -25,6 +25,8 @@ __all__ = [
     "SeparableConv",
     "Tanh",
     "Upsample",
+    "block_mse",
+    "block_targets",
     "count_params",
     "euler_residual",
     "euler_residual_grads",

@@ -12,8 +12,14 @@ upsample then hands over its un-repeated input and the convolution folds
 the repeat into its own correlation (see :mod:`sepconvwave.nn.layers`).
 The layer list, the state-dict names and the results are those of the
 materialised repeat; only the work changes.  An upsample followed by
-anything else, such as the final repeat before a ``Reshape``, still
-builds the repeated tensor.
+anything else builds the repeated tensor.
+
+A head's *output repeat* is a final upsample followed only by
+``Reshape``s.  A training forward stops before it and returns the
+coarse tensor the upsample reads, and ``backward`` takes the gradient of
+that tensor: the loss scores it against block means of the targets (see
+:mod:`sepconvwave.nn.losses`), so training never builds the repeat.  The
+eval forward, the layer lists and the state-dict names still include it.
 
 :func:`fold_batchnorm` gives the eval-only form of a model: each
 ``BatchNorm`` folded into the layer that feeds it (Jacob et al. 2018,
@@ -44,6 +50,11 @@ class Model:
     the backward that follows it: an eval-mode forward leaves no layer
     holding an array, and a ``backward`` without a training forward
     before it, or a second one, raises ``RuntimeError``.
+
+    A training forward returns, for a head with an output repeat, the
+    coarse tensor that repeat reads (:meth:`output_repeat`);
+    :meth:`repeat_output` and :meth:`block_sum` map a coarse output and a
+    gradient on the full output between the two shapes.
     """
 
     def __init__(
@@ -59,21 +70,61 @@ class Model:
         self.heads = {name: list(layers) for name, layers in heads.items()}
         self.input_shape = tuple(input_shape)
         self.variant = variant
-        for layers in self.heads.values():
-            shape = self.input_shape
-            for layer in self.trunk + layers:
-                shape = layer.output_shape(shape)
         # fold each upsample into the convolution that reads it
         for part in [self.trunk, *self.heads.values()]:
             for layer, after in zip(part, part[1:]):
                 if isinstance(layer, Upsample):
                     layer.linked = layer.factors[0] == 1 and isinstance(after, SeparableConv)
+        # a training forward stops each head before its output repeat
+        self._cut = {name: _repeat_index(layers) for name, layers in self.heads.items()}
+        self._coarse = {}
+        for name, layers in self.heads.items():
+            shapes = [self.input_shape]
+            for layer in self.trunk + layers:
+                shapes.append(layer.output_shape(shapes[-1]))
+            self._coarse[name] = shapes[len(self.trunk) + self._cut[name]]
 
     @property
     def head_names(self) -> tuple[str, ...]:
         return tuple(self.heads.keys())
 
+    def output_repeat(self, name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(shape, factors)``: what a training forward returns for head ``name``.
+
+        ``shape`` is the per-sample shape of the coarse tensor, which the
+        head's output repeat takes ``factors``-fold before the reshapes
+        onto the output.  A head without an output repeat returns its
+        output, with every factor 1.
+        """
+        layers, cut = self.heads[name], self._cut[name]
+        shape = self._coarse[name]
+        return shape, layers[cut].factors if cut < len(layers) else (1,) * len(shape)
+
+    def repeat_output(self, name: str, coarse: np.ndarray) -> np.ndarray:
+        """Head ``name``'s output from the coarse tensor of a training forward.
+
+        Runs the output repeat and its reshapes in eval mode, which keeps
+        no cache.
+        """
+        for layer in self.heads[name][self._cut[name] :]:
+            coarse = layer.forward(coarse)
+        return coarse
+
+    def block_sum(self, name: str, grad: np.ndarray) -> np.ndarray:
+        """The gradient on head ``name``'s coarse tensor of ``grad`` on its output."""
+        layers, cut = self.heads[name], self._cut[name]
+        if cut == len(layers):
+            return grad
+        shape = layers[cut].output_shape(self._coarse[name])
+        return layers[cut].backward(grad.reshape((len(grad),) + shape))
+
     def forward(self, x: np.ndarray, training: bool = False) -> dict[str, np.ndarray]:
+        """Every head's output, or with ``training`` its coarse tensor.
+
+        A training forward caches what :meth:`backward` needs and stops
+        each head before its output repeat (:meth:`output_repeat`); an
+        eval forward runs every layer.
+        """
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"expected per-sample shape {self.input_shape}, got {x.shape[1:]}")
         z = x
@@ -82,7 +133,7 @@ class Model:
         outputs = {}
         for name, layers in self.heads.items():
             h = z
-            for layer in layers:
+            for layer in layers[: self._cut[name]] if training else layers:
                 h = layer.forward(h, training)
             outputs[name] = h
         return outputs
@@ -90,17 +141,19 @@ class Model:
     def backward(self, grads: dict[str, np.ndarray]) -> None:
         """Backpropagate loss gradients through every head, then the trunk.
 
-        Trunk gradients are the sum over heads, so a shared trunk is
-        updated by all predicted fields.  Requires a preceding training
-        forward pass, whose caches this releases; without one, the first
-        layer's backward raises ``RuntimeError``.
+        ``grads`` holds, per head, the gradient on what the training
+        forward returned: the coarse tensor for a head with an output
+        repeat.  Trunk gradients are the sum over heads, so a shared
+        trunk is updated by all predicted fields.  Requires a preceding
+        training forward pass, whose caches this releases; without one,
+        the first layer's backward raises ``RuntimeError``.
         """
         trunk_grad = None
         for name, layers in self.heads.items():
             if name not in grads:
                 raise ValueError(f"missing gradient for head {name!r}")
             g = grads[name]
-            for layer in reversed(layers):
+            for layer in reversed(layers[: self._cut[name]]):
                 g = layer.backward(g)
             trunk_grad = g if trunk_grad is None else trunk_grad + g
         g = trunk_grad
@@ -151,6 +204,17 @@ class Model:
 
     def all_layers(self) -> list[Layer]:
         return [layer for _, layer in self._named_layers()]
+
+
+def _repeat_index(layers: list[Layer]) -> int:
+    """Index of the output repeat in a head's ``layers``, or ``len(layers)``.
+
+    The output repeat is a final upsample followed only by reshapes.
+    """
+    cut = len(layers)
+    while cut and isinstance(layers[cut - 1], Reshape):
+        cut -= 1
+    return cut - 1 if cut and isinstance(layers[cut - 1], Upsample) else len(layers)
 
 
 def _scaled(layer, norm: BatchNorm):

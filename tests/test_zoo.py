@@ -159,6 +159,10 @@ class TestDeskCounts:
         out = model.forward(np.zeros((2, 3)))
         assert set(out) == {"u"}
 
+    def test_repeated_head_rejected(self):
+        with pytest.raises(ValueError, match="'u' is repeated"):
+            build_model(VariantSpec("FC_t"), GRID, WIDTHS, 0, heads=("u", "u"))
+
     def test_unknown_width_key_rejected(self):
         with pytest.raises(ValueError):
             resolve_widths({"conv3d.bogus": 1})

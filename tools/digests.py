@@ -6,7 +6,9 @@ Runs the command-line entry point in a temporary directory:
 * ``train`` on ``configs/tiny.cfg`` at seed 0 for Conv3D, Conv2.5D and
   Conv2.5Db, each with Basic, BN and SL regularization (SL covers the
   shared trunk's draw order), from temporary copies of the config;
-* ``evaluate`` over those nine cells.
+  then FC_t and Conv1D_Boundary, whose heads end without a repeat, and
+  Conv2.5D with the time residual (E), which repeats the coarse outputs;
+* ``evaluate`` over the first nine cells.
 
 It prints one ``sha256  relative/path`` line per primary output
 (``*.wds``, ``checkpoint.scnn``, ``history.csv``, ``run_config.cfg``),
@@ -46,6 +48,7 @@ CONFIGS = ("desk", "sweep", "tiny")
 SEEDS = (0, 1, 2)
 VARIANTS = ("Conv3D", "Conv2.5D", "Conv2.5Db")
 REGULARIZATIONS = ("Basic", "BN", "SL")
+EXTRA_CELLS = (("FC_t", "Basic"), ("Conv1D_Boundary", "Basic"), ("Conv2.5D", "E"))
 PRIMARY = ("*.wds", "checkpoint.scnn", "history.csv", "run_config.cfg")
 DATASET_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
@@ -89,11 +92,11 @@ def main_digests() -> None:
                 _run("generate", "--config", str(ROOT / "configs" / f"{config}.cfg"),
                      "--seed", str(seed), "--out", str(tmp / config / f"seed{seed}"))
         run = tmp / "tiny" / "seed0"
-        for variant in VARIANTS:
-            for regularization in REGULARIZATIONS:
-                cell = _config(tmp / f"tiny_{variant}_{regularization}.cfg",
-                               variant=variant, regularization=regularization)
-                _run("train", "--config", str(cell), "--seed", "0", "--out", str(run))
+        trained = [(v, r) for v in VARIANTS for r in REGULARIZATIONS] + list(EXTRA_CELLS)
+        for variant, regularization in trained:
+            cell = _config(tmp / f"tiny_{variant}_{regularization}.cfg",
+                           variant=variant, regularization=regularization)
+            _run("train", "--config", str(cell), "--seed", "0", "--out", str(run))
         cells = _config(tmp / "tiny_evaluate.cfg", variants=", ".join(VARIANTS),
                         regularizations=", ".join(REGULARIZATIONS))
         _run("evaluate", "--config", str(cells), "--seed", "0", "--out", str(run))
