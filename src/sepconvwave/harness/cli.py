@@ -79,19 +79,13 @@ def _dataset_paths(cfg):
 
 
 def _load_data(cfg):
-    """The train and test sets, each free of non-finite values, and the scalers fit on train."""
+    """The train and test sets and the scalers fit on train."""
     paths = _dataset_paths(cfg)
     for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"{p} not found; run `generate` first")
     train_ds, test_ds = (load_dataset(p) for p in paths)
-    for path, ds in zip(paths, (train_ds, test_ds)):
-        for name in ("params", "u", "v", "boundary_u", "boundary_v"):
-            array = ds.param_matrix() if name == "params" else ds.stack(name)
-            finite = np.isfinite(array).reshape(len(ds), -1).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"{path}: {name} of sample {np.argmin(finite)} is not finite")
-    return train_ds, test_ds, Scaler().fit(train_ds), ParamScaler().fit(train_ds.param_matrix())
+    return train_ds, test_ds, Scaler().fit(train_ds), ParamScaler().fit(train_ds.params)
 
 
 class _ConfigError(ValueError):

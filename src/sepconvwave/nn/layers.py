@@ -561,7 +561,11 @@ class Conv(SeparableConv):
     def __init__(self, c_in: int, n_f: int, extents, rng: np.random.Generator):
         extents = tuple(extents)
         super().__init__(c_in, n_f, extents, rng, groups=(tuple(range(len(extents))),))
-        (self.kernel,) = self.stage_kernels
+
+    @property
+    def kernel(self) -> Parameter:
+        """The one stage's kernel ``[n_f, *extents]``."""
+        return self.stage_kernels[0]
 
     def _fan_in(self) -> int:
         return self.c_in * int(np.prod(self.extents))

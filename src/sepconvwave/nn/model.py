@@ -28,11 +28,12 @@ arXiv:1712.05877), every other layer shared.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BatchNorm, Conv, Dense, Layer, Parameter, Reshape, SeparableConv, Upsample
+from .layers import BatchNorm, Dense, Layer, Parameter, Reshape, SeparableConv, Upsample
 
 __all__ = ["Model", "ParamBudget", "count_params", "fold_batchnorm"]
 
@@ -218,30 +219,26 @@ def _repeat_index(layers: list[Layer]) -> int:
 
 
 def _scaled(layer, norm: BatchNorm):
-    """A new ``layer`` whose output is ``norm``'s eval forward of the old one's.
+    """A copy of ``layer`` whose output is ``norm``'s eval forward of the old one's.
 
     At eval ``norm`` is the per-channel affine map ``(x - mu) s + beta``,
     ``s = gamma / sqrt(var + eps)``.  A convolution's stage-0 kernel is
     scaled per filter by ``s`` (its later stages are shared) and a
     ``Dense``'s rows by their channel's ``s``, a channel covering a run
     of ``n_out / channels`` rows; the bias becomes ``(b - mu) s + beta``.
+    The copy gets new parameters for what is scaled and shares the rest.
     """
     s = norm.gamma.value / np.sqrt(norm.running_var + norm.eps)
     mean, beta = norm.running_mean, norm.beta.value
-    rng = np.random.default_rng(0)  # the constructors draw an init, overwritten below
+    new = copy.copy(layer)
     if isinstance(layer, Dense):
         s, mean, beta = (np.repeat(v, layer.n_out // norm.channels) for v in (s, mean, beta))
-        new = Dense(layer.n_in, layer.n_out, rng)
-        new.weight.value[...] = layer.weight.value * s[:, None]
+        new.weight = Parameter(layer.weight.value * s[:, None])
     else:
-        if isinstance(layer, Conv):
-            new = Conv(layer.c_in, layer.n_f, layer.extents, rng)
-        else:
-            new = SeparableConv(layer.c_in, layer.n_f, layer.extents, rng, groups=layer.groups)
-        new.stage_kernels[1:] = layer.stage_kernels[1:]
         kernel = layer.stage_kernels[0].value
-        new.stage_kernels[0].value[...] = kernel * s.reshape((-1,) + (1,) * (kernel.ndim - 1))
-    new.bias.value[...] = (layer.bias.value - mean) * s + beta
+        scaled = Parameter(kernel * s.reshape((-1,) + (1,) * (kernel.ndim - 1)))
+        new.stage_kernels = [scaled, *layer.stage_kernels[1:]]
+    new.bias = Parameter((layer.bias.value - mean) * s + beta)
     return new
 
 

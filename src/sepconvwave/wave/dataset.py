@@ -1,20 +1,21 @@
 """Dataset generation, standard scaling and the binary dataset format.
 
-A dataset holds the parameter vectors and, on a leading sample axis,
-the zoom-window displacement, velocity and ring traces.  A ``.wds`` file
-is those arrays: magic ``WDS1``, format version u32 (2), the grid block,
-then the records ``params [n, 3]``, ``u``, ``v``, ``boundary_u`` and
-``boundary_v`` in the tensor encoding shared with checkpoints (see
+A dataset is ``params [n, 3]`` and the zoom-window displacement ``u``;
+:class:`WaveDataset` derives the velocity and ring traces from ``u``.  A
+``.wds`` file holds what the solver cannot re-derive: magic ``WDS1``,
+format version u32 (3), the grid block, then the records ``params`` and
+``u`` in the tensor encoding shared with checkpoints (see
 :mod:`sepconvwave.records`).  Identical grids and samples produce
-byte-identical files; truncated or padded files, a grid block that fails
-:meth:`GridSpec.validate`, a sample count n of 0, and fields whose shapes
-are not ``(n, *grid shape)`` are rejected on load.
+byte-identical files.  :func:`load_dataset` alone rejects invalid files:
+truncated or padded, a grid block that fails :meth:`GridSpec.validate` or
+has ``nt < 3``, n = 0 samples, a record shape other than ``(n, 3)`` or
+``(n, *grid shape)``, or non-finite ``params`` or ``u``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +35,7 @@ __all__ = [
 ]
 
 MAGIC = b"WDS1"
-VERSION = 2
-_SAMPLE_FIELDS = ("u", "v", "boundary_u", "boundary_v")
+VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -49,18 +49,25 @@ class Sample:
 
 @dataclass(frozen=True, eq=False)
 class WaveDataset:
-    """``params[b]`` and row ``b`` of each array are sample ``b``; the arrays are read-only."""
+    """Row ``b`` of each array is sample ``b``; the five arrays are read-only.
+
+    ``v`` and the ring traces ``boundary_u``, ``boundary_v`` are derived from ``u`` here alone.
+    """
 
     grid: GridSpec
-    params: tuple[WaveParams, ...]
+    params: np.ndarray
     u: np.ndarray
-    v: np.ndarray
-    boundary_u: np.ndarray
-    boundary_v: np.ndarray
+    v: np.ndarray = field(init=False)
+    boundary_u: np.ndarray = field(init=False)
+    boundary_v: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for field in _SAMPLE_FIELDS:
-            getattr(self, field).flags.writeable = False
+        v = velocity_field(self.u, self.grid.dt)
+        derived = v, ring_traces(self.u, self.grid), ring_traces(v, self.grid)
+        for name, array in zip(("v", "boundary_u", "boundary_v"), derived):
+            object.__setattr__(self, name, array)
+        for array in (self.params, self.u, *derived):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.params)
@@ -68,14 +75,16 @@ class WaveDataset:
     @property
     def samples(self) -> list[Sample]:
         """One :class:`Sample` per row, its arrays views of the dataset's."""
-        return list(map(Sample, self.params, self.u, self.v, self.boundary_u, self.boundary_v))
+        params = map(WaveParams._make, self.params.tolist())
+        return list(map(Sample, params, self.u, self.v, self.boundary_u, self.boundary_v))
 
     def stack(self, field: str) -> np.ndarray:
         """The field's array over all samples: the dataset's own, not a copy."""
         return getattr(self, field)
 
     def param_matrix(self) -> np.ndarray:
-        return np.array(self.params)
+        """``params``, the dataset's own ``[n, 3]`` array."""
+        return self.params
 
 
 def default_bounds(grid: GridSpec) -> list[tuple[float, float]]:
@@ -97,15 +106,12 @@ def generate_dataset(
 
     Sources are excluded from the zoom-window footprint, keeping the
     window source-free for the submodel.  The displacement comes from
-    :func:`solve_zoom`, the velocity from the whole displacement, and
-    the ring traces from both.
+    :func:`solve_zoom`; :class:`WaveDataset` derives the rest.
     """
     if bounds is None:
         bounds = default_bounds(grid)
-    params = tuple(lhs_sample(n_samples, bounds, seed=seed, exclusion=grid.zoom_footprint()))
-    u = solve_zoom(params, grid)
-    v = velocity_field(u, grid.dt)
-    return WaveDataset(grid, params, u, v, ring_traces(u, grid), ring_traces(v, grid))
+    params = np.array(lhs_sample(n_samples, bounds, seed=seed, exclusion=grid.zoom_footprint()))
+    return WaveDataset(grid, params, solve_zoom(params, grid))
 
 
 class Scaler:
@@ -151,9 +157,8 @@ def save_dataset(path, dataset: WaveDataset) -> None:
     with atomic_write(path) as fh:
         write_header(fh, MAGIC, VERSION)
         fh.write(struct.pack(_GRID_FORMAT, *(getattr(dataset.grid, f) for f in _GRID_FIELDS)))
-        write_array(fh, dataset.param_matrix())
-        for field in _SAMPLE_FIELDS:
-            write_array(fh, getattr(dataset, field))
+        write_array(fh, dataset.params)
+        write_array(fh, dataset.u)
 
 
 def load_dataset(path) -> WaveDataset:
@@ -164,23 +169,23 @@ def load_dataset(path) -> WaveDataset:
             grid.validate()
         except ValueError as exc:
             raise ValueError(f"{path}: grid block: {exc}") from None
+        if grid.nt < 3:
+            raise ValueError(f"{path}: grid block: nt = {grid.nt}; the velocity needs nt >= 3")
         start = reader.offset
         params = reader.array("params")
         if params.ndim != 2 or params.shape[1] != 3:
             raise ValueError(f"{path}: params at byte {start} has shape {params.shape}, not (n, 3)")
         if len(params) == 0:
             raise ValueError(f"{path}: sample count is 0; a dataset needs at least one sample")
+        start = reader.offset
+        u = reader.array("u")
         window = (len(params), grid.nt, grid.zoom_nx, grid.zoom_ny)
-        ring = (len(params), grid.nt, grid.n_boundary)
-        fields = []
-        for name, expected in zip(_SAMPLE_FIELDS, (window, window, ring, ring)):
-            start = reader.offset
-            array = reader.array(name)
-            if array.shape != expected:
-                raise ValueError(
-                    f"{path}: {name} at byte {start} has shape {array.shape}, "
-                    f"the params record and grid block give {expected}"
-                )
-            fields.append(array)
+        if u.shape != window:
+            raise ValueError(f"{path}: u at byte {start} has shape {u.shape}, "
+                             f"the params record and grid block give {window}")
         reader.finish()
-    return WaveDataset(grid, tuple(map(WaveParams._make, params.tolist())), *fields)
+    for name, array in (("params", params), ("u", u)):
+        finite = np.isfinite(array).reshape(len(array), -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{path}: {name} of sample {np.argmin(finite)} is not finite")
+    return WaveDataset(grid, params, u)

@@ -17,8 +17,6 @@ for any block size, so a sample's result does not depend on its block.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .grid import GridSpec, ring_index
@@ -96,31 +94,32 @@ def _leapfrog(
         out[:, t + 1] = level[:, ox : ox + wx, oy : oy + wy]
 
 
-def source_node(params: WaveParams, grid: GridSpec) -> tuple[int, int]:
-    """Grid node nearest the source coordinates."""
-    i = int(round((params.x_s + grid.lx) / grid.dx))
-    j = int(round((params.y_s + grid.ly) / grid.dy))
-    return min(max(i, 0), grid.nx - 1), min(max(j, 0), grid.ny - 1)
+def source_node(params, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Grid node ``(i, j)`` nearest the source coordinates of ``params[..., 3]``.
+
+    Per axis ``min(max(int(round(x)), 0), n - 1)``, clipped in float so any
+    finite coordinate gives a node; a non-finite one raises ``ValueError``.
+    """
+    xy = np.asarray(params, dtype=np.float64)[..., 1:]
+    finite = np.isfinite(xy).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"source coordinates {xy[~finite][0].tolist()} are not finite")
+    i = np.clip(np.round((xy[..., 0] + grid.lx) / grid.dx), 0, grid.nx - 1)
+    j = np.clip(np.round((xy[..., 1] + grid.ly) / grid.dy), 0, grid.ny - 1)
+    return i.astype(np.intp), j.astype(np.intp)
 
 
-def _full_solve(params: Sequence[WaveParams], grid: GridSpec, u: np.ndarray, out, origin) -> None:
-    """Full-domain solves of ``params`` from step 0 ``u[B, nx, ny]`` (zero ring)."""
+def _full_solve(params: np.ndarray, grid: GridSpec, u: np.ndarray, out, origin) -> None:
+    """Full-domain solves of ``params[B, 3]`` from step 0 ``u[B, nx, ny]`` (zero ring)."""
     grid.validate()
-    amplitude = 1.0 / (grid.dx * grid.dy)
-    rows, nodes, omega = [], [], []
-    for b, p in enumerate(params):
-        si, sj = source_node(p, grid)
-        if 0 < si < grid.nx - 1 and 0 < sj < grid.ny - 1:
-            rows.append(b)
-            nodes.append((si, sj))
-            omega.append(p.omega)
+    i, j = source_node(params, grid)
+    rows = np.flatnonzero((0 < i) & (i < grid.nx - 1) & (0 < j) & (j < grid.ny - 1))
     source = None
-    if rows:
-        i, j = np.array(nodes).T
+    if len(rows):
         steps = np.arange(grid.nt - 1)
-        f = np.sin(np.array(omega)[:, None] * steps * grid.dt) * amplitude
+        f = np.sin(params[rows, :1] * steps * grid.dt) * (1.0 / (grid.dx * grid.dy))
         # node (row, i, j) sits n before its place in the [B, m, n] block, m = nx, n = ny
-        source = (np.array(rows) * grid.nx * grid.ny + i * grid.ny + j - grid.ny, f)
+        source = ((rows * grid.nx + i[rows]) * grid.ny + j[rows] - grid.ny, f)
     _leapfrog(u, grid, out, origin, source=source)
 
 
@@ -137,18 +136,19 @@ def solve_wave(params: WaveParams, grid: GridSpec, u0: np.ndarray | None = None)
             raise ValueError(f"u0 shape {u0.shape} != {(grid.nx, grid.ny)}")
         u[0, 1:-1, 1:-1] = u0[1:-1, 1:-1]
     out = np.empty((1, grid.nt, grid.nx, grid.ny))
-    _full_solve([params], grid, u, out, (0, 0))
+    _full_solve(np.array([params], dtype=np.float64), grid, u, out, (0, 0))
     return out[0]
 
 
-def solve_zoom(params: Sequence[WaveParams], grid: GridSpec) -> np.ndarray:
-    """Full-domain solves of a block of samples, kept on the zoom window only.
+def solve_zoom(params, grid: GridSpec) -> np.ndarray:
+    """Full-domain solves of a block of samples ``params[B, 3]``, kept on the zoom window only.
 
     Gives ``[B, nt, zoom_nx, zoom_ny]``, equal to :func:`solve_wave`
     restricted to the window, sample by sample.  No sample's
     ``[nt, nx, ny]`` history is built: the samples are stepped in blocks
     sized to ``_BLOCK_BYTES``, each written straight into its rows.
     """
+    params = np.asarray(params, dtype=np.float64)
     out = np.empty((len(params), grid.nt, grid.zoom_nx, grid.zoom_ny))
     block = max(1, _BLOCK_BYTES // (4 * grid.nx * grid.ny * 8))
     for start in range(0, len(params), block):
@@ -158,15 +158,13 @@ def solve_zoom(params: Sequence[WaveParams], grid: GridSpec) -> np.ndarray:
     return out
 
 
-def submodel_solve_batch(
-    traces: np.ndarray, params: Sequence[WaveParams], grid: GridSpec
-) -> np.ndarray:
-    """Re-solve a batch of samples on the zoom window from prescribed ring traces.
+def submodel_solve_batch(traces: np.ndarray, params, grid: GridSpec) -> np.ndarray:
+    """Re-solve a batch of samples ``params[B, 3]`` on the zoom window from their ring traces.
 
     ``traces[b]`` is sample ``b``'s ``[nt, n_boundary]`` ring; the result
     is ``[B, nt, zoom_nx, zoom_ny]``.  The window problem is source-free:
     a sample whose source node lies inside the window interior is
-    refused, naming its index.  Interior nodes start at rest and the ring
+    refused, naming the first.  Interior nodes start at rest and the ring
     holds ``traces[b, n]`` at step ``n``, making the scheme identical to
     the full solve restricted to the window.
     """
@@ -176,13 +174,13 @@ def submodel_solve_batch(
         raise ValueError(
             f"traces shape {traces.shape} != {(len(params), grid.nt, grid.n_boundary)}"
         )
-    for b, p in enumerate(params):
-        si, sj = source_node(p, grid)
-        if (
-            grid.zoom_ix < si < grid.zoom_ix + znx - 1
-            and grid.zoom_iy < sj < grid.zoom_iy + zny - 1
-        ):
-            raise ValueError(f"sample {b}: source node lies inside the zoom window interior")
+    si, sj = source_node(params, grid)
+    inside = ((grid.zoom_ix < si) & (si < grid.zoom_ix + znx - 1)
+              & (grid.zoom_iy < sj) & (sj < grid.zoom_iy + zny - 1))
+    if inside.any():
+        raise ValueError(
+            f"sample {np.argmax(inside)}: source node lies inside the zoom window interior"
+        )
 
     index = ring_index(grid)
     u = np.zeros((len(params), znx, zny))

@@ -3,7 +3,8 @@
 Every solve runs through one stepper that advances a block of samples
 together.  These tests pin that a block gives, byte for byte, what the
 same samples give one at a time, that a refusal or a dropped source
-stays with its own sample.
+stays with its own sample, and that the node rule on a block of
+parameters equals the one-coordinate rule it replaced.
 """
 
 import numpy as np
@@ -96,6 +97,13 @@ class TestBatchedResolve:
         ok = [p for b, p in enumerate(params) if b != 2]
         assert submodel_solve_batch(traces[:3], ok, grid).shape == (3, grid.nt, 8, 8)
 
+    def test_first_of_several_offending_samples_is_named(self):
+        grid = make_grid(nx=24, ny=24, zoom_nx=8, zoom_ny=8, nt=16)
+        params = np.array([[3.0, 0.8, 0.8], [3.0, 0.05, 0.0], [3.0, -0.9, 0.1], [3.0, 0.0, 0.0]])
+        traces = np.zeros((len(params), grid.nt, grid.n_boundary))
+        with pytest.raises(ValueError, match=r"^sample 1: .*inside"):
+            submodel_solve_batch(traces, params, grid)
+
     def test_trace_batch_shape_mismatch(self):
         grid = make_grid(nx=24, ny=24, zoom_nx=8, zoom_ny=8, nt=16)
         with pytest.raises(ValueError, match="traces shape"):
@@ -119,3 +127,51 @@ class TestBatchedResolve:
         got = submodel_solve_batch(traces, params, grid)
         for b in range(batch):
             assert got[b].tobytes() == submodel_solve(traces[b], params[b], grid).tobytes()
+
+
+def _scalar_node(x: float, lo: float, h: float, n: int) -> int:
+    """The one-coordinate rule: nearest node, half to even, clamped to the grid."""
+    return min(max(int(round((x + lo) / h)), 0), n - 1)
+
+
+class TestSourceNode:
+    # dx = 1/8 and dy = 1/4 exactly, so k + 1/2 spacings from a wall is a true half-way point
+    GRID = make_grid(nx=17, ny=9, zoom_nx=3, zoom_ny=3, nt=3)
+
+    @staticmethod
+    def coordinates(h):
+        return st.one_of(
+            st.floats(-1e300, 1e300),
+            st.integers(-40, 40).map(lambda k: -1.0 + (k + 0.5) * h),  # half-way, in and outside
+            st.sampled_from([-1.0, 1.0, -1e300, 1e300, 0.0, -0.0]),  # walls and far outside
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), batch=st.integers(1, 6))
+    def test_array_rule_equals_the_scalar_rule(self, data, batch):
+        grid = self.GRID
+        xs = data.draw(st.lists(self.coordinates(grid.dx), min_size=batch, max_size=batch))
+        ys = data.draw(st.lists(self.coordinates(grid.dy), min_size=batch, max_size=batch))
+        params = np.array([[3.0, x, y] for x, y in zip(xs, ys)])
+        i, j = source_node(params, grid)
+        assert i.shape == j.shape == (batch,)
+        for b, (x, y) in enumerate(zip(xs, ys)):
+            want = (_scalar_node(x, grid.lx, grid.dx, grid.nx), _scalar_node(y, grid.ly, grid.dy, grid.ny))
+            assert (int(i[b]), int(j[b])) == want
+            assert source_node(WaveParams(3.0, x, y), grid) == want
+
+    def test_half_way_rounds_to_even(self):
+        grid = self.GRID
+        params = np.array([[1.0, -1.0 + 2.5 * grid.dx, -1.0 + 3.5 * grid.dy]])
+        assert [a.tolist() for a in source_node(params, grid)] == [[2], [4]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_raises(self, bad):
+        grid = self.GRID
+        params = np.array([[1.0, 0.0, 0.0], [1.0, 0.5, bad]])
+        with pytest.raises(ValueError, match="not finite"):
+            source_node(params, grid)
+        with pytest.raises(ValueError, match="not finite"):
+            solve_zoom(params, grid)
+        with pytest.raises(ValueError, match="not finite"):
+            source_node(WaveParams(1.0, bad, 0.0), grid)

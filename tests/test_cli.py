@@ -122,13 +122,13 @@ class TestExitCodes:
         assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
         train = out / "train.wds"
         ds = load_dataset(train)
-        write_wds(train, ds.grid, ds.param_matrix(), ds.u[:, :3], ds.v, ds.boundary_u, ds.boundary_v)
+        write_wds(train, ds.grid, ds.params, ds.u[:, :3])
         assert main(["train", "--config", TINY, "--out", str(out)]) == 2
         assert "train.wds: u at byte 264 has shape (6, 3, 8, 8)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, field, sample, column", [
         ("train.wds", "params", 1, 0),  # omega
-        ("test.wds", "boundary_v", 2, 5),
+        ("test.wds", "u", 2, 5),
     ])
     def test_dataset_with_a_non_finite_value_is_runtime_error(
         self, tmp_path, capsys, write_wds, name, field, sample, column
@@ -137,8 +137,7 @@ class TestExitCodes:
         assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
         path = out / name
         ds = load_dataset(path)
-        arrays = {"params": ds.param_matrix()}
-        arrays.update((f, ds.stack(f).copy()) for f in ("u", "v", "boundary_u", "boundary_v"))
+        arrays = {"params": ds.params.copy(), "u": ds.u.copy()}
         arrays[field][sample].flat[column] = float("nan")
         write_wds(path, ds.grid, *arrays.values())
         assert main(["train", "--config", TINY, "--out", str(out)]) == 2

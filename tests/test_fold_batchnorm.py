@@ -6,7 +6,9 @@ model it is given.  On every zoo cell with batch normalization on
 after a ``Dense`` and a ``Reshape``, in a shared trunk, and in the
 boundary cells), the predictions equal the unfolded eval forward to
 1e-12 relative, and the model's state keeps its bytes.  A cell without
-batch normalization predicts bit-identically to its eval forward.
+batch normalization predicts bit-identically to its eval forward.  A
+folded convolution is a copy of its layer, and its ``kernel`` is its own
+scaled stage, never the original's.
 """
 
 from pathlib import Path
@@ -25,7 +27,7 @@ from sepconvwave.harness import (
     predict_fields,
     prepare_inputs,
 )
-from sepconvwave.nn import BatchNorm, Dense, Model, Reshape, Tanh, fold_batchnorm
+from sepconvwave.nn import BatchNorm, Conv, Dense, Model, Reshape, Tanh, fold_batchnorm
 from sepconvwave.wave import Scaler, generate_dataset
 
 TINY = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "tiny.cfg")
@@ -93,6 +95,22 @@ def test_cell_without_batchnorm_predicts_its_eval_forward_bit_for_bit(name, colu
     for head, ref in _eval_forward_prediction(model, spec, *data).items():
         assert np.array_equal(got[head], ref), head
     assert fold_batchnorm(model).all_layers() == model.all_layers()
+
+
+def test_folded_conv_is_a_copy_whose_kernel_is_its_scaled_stage():
+    _, model = _model("Conv3D", "BN")
+    originals = {id(layer): layer.kernel for layer in model.all_layers() if isinstance(layer, Conv)}
+    copies = [layer for layer in fold_batchnorm(model).all_layers()
+              if isinstance(layer, Conv) and id(layer) not in originals]
+    assert copies
+    for conv in copies:
+        assert conv.kernel is conv.stage_kernels[0] is dict(conv.parameters())["kernel"]
+        assert all(conv.kernel is not kernel for kernel in originals.values())
+    for layer in model.all_layers():
+        if isinstance(layer, Conv):
+            assert layer.kernel is originals[id(layer)] is layer.stage_kernels[0]
+    with pytest.raises(AttributeError):
+        copies[0].kernel = copies[0].bias
 
 
 def test_batchnorm_without_a_feeder_stays():

@@ -19,6 +19,7 @@ from sepconvwave.wave import (
     load_dataset,
     make_grid,
     restrict,
+    ring_traces,
     save_dataset,
     solve_wave,
     submodel_solve,
@@ -30,11 +31,10 @@ FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
 
 def _constant_dataset(grid, values):
-    """One sample per value: its window fields hold that value, its rings zero."""
+    """One sample per value: its displacement holds that value at every node and step."""
     window = np.stack([np.full((grid.nt, grid.zoom_nx, grid.zoom_ny), val) for val in values])
-    ring = np.zeros((len(values), grid.nt, grid.n_boundary))
-    params = (WaveParams(1.0, 0.8, 0.8),) * len(values)
-    return WaveDataset(grid, params, window, window.copy(), ring, ring.copy())
+    params = np.tile(WaveParams(1.0, 0.8, 0.8), (len(values), 1))
+    return WaveDataset(grid, params, window)
 
 
 class TestLhsSample:
@@ -161,6 +161,21 @@ class TestDataset:
                     getattr(ds.samples[1], field)[...] = 0.0
             assert ds.param_matrix().tolist() == [list(p) for p in ds.params]
 
+    def test_fields_are_derived_from_u(self):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=7, nt=5)
+        rng = np.random.default_rng(30)
+        params, u = rng.standard_normal((3, 3)), rng.standard_normal((3, grid.nt, 6, 7))
+        ds = WaveDataset(grid, params, u)
+        v = velocity_field(u, grid.dt)
+        assert ds.v.tobytes() == v.tobytes()
+        assert ds.boundary_u.tobytes() == ring_traces(u, grid).tobytes()
+        assert ds.boundary_v.tobytes() == ring_traces(v, grid).tobytes()
+        assert ds.param_matrix() is ds.params is params and ds.u is u
+        for name in ("params", *FIELDS):
+            assert not getattr(ds, name).flags.writeable, name
+        with pytest.raises(TypeError):
+            WaveDataset(grid, params, u, v)
+
     def test_sources_outside_zoom(self):
         grid = make_grid(nx=20, ny=20, zoom_nx=8, zoom_ny=8, nt=8)
         ds = generate_dataset(grid, 12, seed=11)
@@ -238,7 +253,7 @@ class TestDataset:
 
         def failing(fh, array):
             calls.append(1)
-            if len(calls) == 3:
+            if len(calls) == 2:  # the u record
                 raise OSError("disk full")
             write_array(fh, array)
 
@@ -274,9 +289,9 @@ class TestDataset:
     def test_zero_sample_count_rejected(self, tmp_path, write_wds):
         # the generator never writes one; it used to load and fail later, in the scalers
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
-        window, ring = np.zeros((0, grid.nt, 6, 6)), np.zeros((0, grid.nt, grid.n_boundary))
+        window = np.zeros((0, grid.nt, 6, 6))
         path = tmp_path / "empty.wds"
-        write_wds(path, grid, np.zeros((0, 3)), window, window, ring, ring)
+        write_wds(path, grid, np.zeros((0, 3)), window)
         with pytest.raises(ValueError, match=r"empty\.wds: sample count is 0"):
             load_dataset(path)
 
@@ -285,7 +300,7 @@ class TestDataset:
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
         ds = generate_dataset(grid, 2, seed=27)
         path = tmp_path / "params.wds"
-        write_wds(path, grid, np.zeros(shape), *(getattr(ds, f) for f in FIELDS))
+        write_wds(path, grid, np.zeros(shape), ds.u)
         at = 8 + struct.calcsize("<4d7Q")
         shape = re.escape(str(shape))
         with pytest.raises(ValueError, match=rf"params\.wds: params at byte {at} has shape {shape}, not"):
@@ -302,40 +317,69 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"old\.wds: unsupported dataset version 1$"):
             load_dataset(path)
 
+    def test_version_2_file_rejected(self, tmp_path):
+        # version 2 also stored v and both ring traces, which are now derived from u on load
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        path = tmp_path / "old.wds"
+        save_dataset(path, generate_dataset(grid, 2, seed=28))
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"old\.wds: unsupported dataset version 2$"):
+            load_dataset(path)
+
+    def test_fewer_than_3_steps_rejected(self, tmp_path, write_wds):
+        # the grid itself is valid, but the velocity needs three time steps
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=2)
+        path = tmp_path / "short.wds"
+        write_wds(path, grid, np.zeros((1, 3)), np.zeros((1, 2, 6, 6)))
+        with pytest.raises(ValueError, match=r"short\.wds: grid block: nt = 2; the velocity needs nt >= 3$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field, sample, column, value", [
+        ("params", 1, 2, np.nan), ("params", 0, 0, -np.inf), ("u", 2, 40, np.inf), ("u", 1, 0, np.nan),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, write_wds, field, sample, column, value):
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
+        ds = generate_dataset(grid, 3, seed=31)
+        arrays = {"params": ds.params.copy(), "u": ds.u.copy()}
+        arrays[field][sample].flat[column] = value
+        path = tmp_path / "bad.wds"
+        write_wds(path, grid, *arrays.values())
+        with pytest.raises(ValueError, match=rf"bad\.wds: {field} of sample {sample} is not finite$"):
+            load_dataset(path)
+
     def test_rows_written_field_by_field_match_save_dataset(self, tmp_path, write_wds):
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
         ds = generate_dataset(grid, 2, seed=25)
         save_dataset(tmp_path / "saved.wds", ds)
-        write_wds(tmp_path / "written.wds", grid, ds.param_matrix(), *(getattr(ds, f) for f in FIELDS))
+        write_wds(tmp_path / "written.wds", grid, ds.params, ds.u)
         assert (tmp_path / "written.wds").read_bytes() == (tmp_path / "saved.wds").read_bytes()
 
-    @pytest.mark.parametrize("axis, field, cut", [(0, "u", 3), (1, "boundary_v", 5)])
+    @pytest.mark.parametrize("axis, field, cut", [(0, "u", 3)])
     def test_sample_shape_disagreeing_with_grid_rejected(self, tmp_path, write_wds, axis, field, cut):
         # a well-formed file whose field contradicts its grid block: its grid axis ``axis`` cut
         grid = make_grid(nx=32, ny=32, zoom_nx=16, zoom_ny=16, nt=8)
         ds = generate_dataset(grid, 2, seed=20)
-        arrays = {f: getattr(ds, f) for f in FIELDS}
-        expected = arrays[field].shape
-        bad = arrays[field] = np.take(arrays[field], np.arange(cut), axis=1 + axis)
+        expected = getattr(ds, field).shape
+        bad = np.take(getattr(ds, field), np.arange(cut), axis=1 + axis)
         path = tmp_path / "bad.wds"
-        write_wds(path, grid, ds.param_matrix(), *arrays.values())
+        write_wds(path, grid, ds.params, bad)
         # header, grid block, then the params record: rank, two extents, 2 x 3 values
         first_u = 8 + struct.calcsize("<4d7Q") + 8 * 3 + 8 * 6
-        offset = str(first_u) if field == "u" else r"\d+"
-        message = (rf"bad\.wds: {field} at byte {offset} has shape {re.escape(str(bad.shape))}, "
+        message = (rf"bad\.wds: {field} at byte {first_u} has shape {re.escape(str(bad.shape))}, "
                    rf"the params record and grid block give {re.escape(str(expected))}")
         with pytest.raises(ValueError, match=message):
             load_dataset(path)
 
-    @pytest.mark.parametrize("field", ["v", "boundary_u"])
+    @pytest.mark.parametrize("field", ["u"])
     def test_field_sample_count_disagreeing_with_params_rejected(self, tmp_path, write_wds, field):
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)
         ds = generate_dataset(grid, 3, seed=29)
-        arrays = {f: getattr(ds, f) for f in FIELDS}
-        expected = arrays[field].shape
-        short = arrays[field] = arrays[field][:2]
+        expected = getattr(ds, field).shape
+        short = getattr(ds, field)[:2]
         path = tmp_path / "short.wds"
-        write_wds(path, grid, ds.param_matrix(), *arrays.values())
+        write_wds(path, grid, ds.params, short)
         message = (rf"short\.wds: {field} at byte \d+ has shape {re.escape(str(short.shape))}, "
                    rf"the params record and grid block give {re.escape(str(expected))}")
         with pytest.raises(ValueError, match=message):
@@ -347,8 +391,12 @@ class TestGeneratorBytes:
 
     The digests were taken from the numpy solver on a 64-bit x86 host; a
     change to the stepping order or to the rounding of any step shows here.
-    The file digest is of the version 2 layout, whose decoded arrays are
-    bit-identical to those of the version 1 file it replaced.
+    The file digest is of the version 3 layout (grid block, ``params`` and
+    ``u``).  The arrays digest, over the shape and bytes of ``params``,
+    ``u``, ``v``, ``boundary_u`` and ``boundary_v`` as ``tools/digests.py``
+    forms it, was taken from the version 2 generator, which stored all
+    five: the fields derived on construction are bit-identical to those
+    it stored.
     """
 
     @pytest.fixture(scope="class")
@@ -360,7 +408,18 @@ class TestGeneratorBytes:
         path = tmp_path / "train.wds"
         save_dataset(path, dataset)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "5bb2325c0b07842f582298c092385a9b2340677eb2cb8015a7339835d8be502e"
+        assert digest == "abed4eaa1b56a0f4993e94efbca9ba3260ced8506ed38bdbebd6747a01c15848"
+
+    def test_dataset_arrays_digest(self, dataset, tmp_path):
+        path = tmp_path / "train.wds"
+        save_dataset(path, dataset)
+        for ds in (dataset, load_dataset(path)):
+            digest = hashlib.sha256()
+            for array in (ds.params, *(ds.stack(f) for f in FIELDS)):
+                digest.update(repr(array.shape).encode())
+                digest.update(array.tobytes())
+            assert digest.hexdigest() == (
+                "a97059671ee76d6484f45866f50d935925c34664a60ff70185905cc5b68d2a34")
 
     def test_submodel_resolve_digest(self, dataset):
         digest = hashlib.sha256()

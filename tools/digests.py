@@ -14,9 +14,10 @@ It prints one ``sha256  relative/path`` line per primary output
 (``*.wds``, ``checkpoint.scnn``, ``history.csv``, ``run_config.cfg``),
 the files the determinism contract covers; ``timing.csv`` is left out.
 Each ``*.wds`` also gets a ``sha256  relative/path:arrays`` line over its
-decoded ``params``, ``u``, ``v``, ``boundary_u`` and ``boundary_v`` (shape
-and float64 bytes), which stays the same across a change of the file's
-layout when the data does not change.  ``results.csv`` gets one ``sha256
+loaded ``params``, ``u``, ``v``, ``boundary_u`` and ``boundary_v`` (shape
+and float64 bytes; the last three are derived from ``u`` on load), which
+stays the same across a change of the file's layout when the data does
+not change.  ``results.csv`` gets one ``sha256
 relative/path:no-epoch_seconds`` line over its rows other than
 ``epoch_seconds``, which come from the timings; it covers the
 prediction, the ring traces and the zoom re-solve.  Running it in two
