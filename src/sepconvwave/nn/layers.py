@@ -155,9 +155,15 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-# every window copy that stage 0 materialises stays below this many
-# float64s, in batch chunks fixed when its plan is built
-_CHUNK_BUDGET = 8_000_000
+# the float64s one stage-0 chunk may hold as scratch (8 MiB), unless one
+# sample's scratch is larger: its copy of the sliding-window view (taps x
+# outputs, the im2col cost) and the contraction's output, which ``einsum``
+# builds before writing it into the layer's; the backward's columns and
+# transposed gradient are the same sizes.  At 8 MiB a full 5x5x5 Conv on
+# Conv2.5D's largest desk input, whose window copy at batch 25 is 49 MiB,
+# runs in chunks of 4, while the largest desk Conv3D, Conv2.5D and
+# Conv2.5Db layer at batch 25 (537,600 float64s) stays one chunk
+_CHUNK_BUDGET = 1_048_576
 
 
 @functools.lru_cache(maxsize=256)
@@ -224,7 +230,7 @@ class _Stage0(NamedTuple):
     forward: str  # einsum subscripts: windows, merged kernels -> output
     kernel_grad: str  # windows, output gradient -> merged kernels' gradient
     input_grad: str  # output gradient, merged kernels -> columns, taps first
-    chunks: tuple  # batch slices whose window copies stay below _CHUNK_BUDGET
+    chunks: tuple  # batch slices whose scratch (window copy + output) fits _CHUNK_BUDGET
     interleaved: tuple  # the output with each phase merged into its position
     crop: tuple  # index of the f * n - k + 1 valid outputs per axis
     grad_pad: tuple  # np.pad widths of the output gradient over the cropped phases
@@ -251,8 +257,11 @@ def _stage0_plan(shape, kernel_shape, factors) -> _Stage0:
     phase = tuple(p * len(f) for p, f in zip("stu", phases))
     win, ker = "b" + rest + out + tap, "f" + "".join(phase) + tap
     res = "bf" + rest + "".join(q + p for q, p in zip(out, phase))
-    step = max(1, _CHUNK_BUDGET // max(math.prod(padded[1:-g] + n_out + taps), 1))
     head = (shape[0], kernel_shape[0]) + lead[1:]
+    positions = head + sum(((n,) + f for n, f in zip(n_out, phases)), ())
+    # one sample's scratch: its window copy and its rows of the contraction's output
+    scratch = math.prod(padded[1:-g] + n_out + taps) + math.prod(positions[1:])
+    step = max(1, _CHUNK_BUDGET // max(scratch, 1))
     return _Stage0(
         taps=taps,
         bands=tuple(_band(k, f, t)[:, :f] for k, f, t in zip(extents, factors, taps)),
@@ -266,7 +275,7 @@ def _stage0_plan(shape, kernel_shape, factors) -> _Stage0:
         interleaved=head + tuple(f * n for f, n in zip(factors, n_out)),
         crop=(Ellipsis,) + tuple(slice(n) for n in valid),
         grad_pad=tuple((0, p) for p in (0,) * len(head) + extra) if any(extra) else (),
-        positions=head + sum(((n,) + f for n, f in zip(n_out, phases)), ()),
+        positions=positions,
         padded=padded,
         slabs=tuple((t, (Ellipsis,) + tuple(slice(i, i + n) for i, n in zip(t, n_out)))
                     for t in np.ndindex(*taps)),

@@ -9,7 +9,8 @@ format version u32 (3), the grid block, then the records ``params`` and
 byte-identical files.  :func:`load_dataset` alone rejects invalid files:
 truncated or padded, a grid block that fails :meth:`GridSpec.validate` or
 has ``nt < 3``, n = 0 samples, a record shape other than ``(n, 3)`` or
-``(n, *grid shape)``, or non-finite ``params`` or ``u``.
+``(n, *grid shape)``, non-finite ``params`` or ``u``, or a ``u`` whose
+derived velocity overflows.
 """
 
 from __future__ import annotations
@@ -184,8 +185,16 @@ def load_dataset(path) -> WaveDataset:
             raise ValueError(f"{path}: u at byte {start} has shape {u.shape}, "
                              f"the params record and grid block give {window}")
         reader.finish()
-    for name, array in (("params", params), ("u", u)):
-        finite = np.isfinite(array).reshape(len(array), -1).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"{path}: {name} of sample {np.argmin(finite)} is not finite")
-    return WaveDataset(grid, params, u)
+    _check_finite(path, "params", params)
+    _check_finite(path, "u", u)
+    # a finite u can still differ by more than the largest float64
+    with np.errstate(over="ignore"):
+        dataset = WaveDataset(grid, params, u)
+    _check_finite(path, "v", dataset.v)
+    return dataset
+
+
+def _check_finite(path, name: str, array: np.ndarray) -> None:
+    finite = np.isfinite(array).reshape(len(array), -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: {name} of sample {np.argmin(finite)} is not finite")

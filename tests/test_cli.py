@@ -2,6 +2,7 @@
 
 import shutil
 import struct
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -143,6 +144,20 @@ class TestExitCodes:
         assert main(["train", "--config", TINY, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {path}: {field} of sample {sample} is not finite"]
+
+    def test_dataset_whose_velocity_overflows_is_runtime_error(self, tmp_path, capsys, write_wds):
+        out = tmp_path / "run"
+        assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
+        path = out / "train.wds"
+        ds = load_dataset(path)
+        u = ds.u.copy()
+        u[3, 4, 2, 2], u[3, 6, 2, 2] = 1e308, -1e308  # finite, but v at step 5 is not
+        write_wds(path, ds.grid, ds.params, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", TINY, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {path}: v of sample 3 is not finite"]
 
     def test_train_on_dataset_with_invalid_grid_block_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "run"

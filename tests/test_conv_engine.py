@@ -59,7 +59,8 @@ def test_chunked_path_matches_one_chunk_and_oracle(monkeypatch, rest):
     layers._stage0_plan.cache_clear()
     one_chunk, one_chunk_bounds = _engine(z, kernel, grad)
 
-    per_sample = int(np.prod(rest)) * 5 * 5 * int(np.prod(TAPS))
+    # a sample's scratch: its window copy (taps per output) and its N_F outputs
+    per_sample = int(np.prod(rest)) * 5 * 5 * (int(np.prod(TAPS)) + N_F)
     monkeypatch.setattr(layers, "_CHUNK_BUDGET", 2 * per_sample)
     layers._stage0_plan.cache_clear()
     try:

@@ -3,6 +3,7 @@
 import hashlib
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,18 @@ class TestDataset:
         write_wds(path, grid, *arrays.values())
         with pytest.raises(ValueError, match=rf"bad\.wds: {field} of sample {sample} is not finite$"):
             load_dataset(path)
+
+    def test_overflowing_velocity_rejected_without_a_warning(self, tmp_path, write_wds):
+        # u is finite, but its central difference 1e308 - (-1e308) is not
+        grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=3)
+        u = np.zeros((2, 3, 6, 6))
+        u[1, 0, 0, 0], u[1, 2, 0, 0] = 1e308, -1e308
+        path = tmp_path / "fast.wds"
+        write_wds(path, grid, np.ones((2, 3)), u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"fast\.wds: v of sample 1 is not finite$"):
+                load_dataset(path)
 
     def test_rows_written_field_by_field_match_save_dataset(self, tmp_path, write_wds):
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=6, nt=8)

@@ -8,6 +8,10 @@ Runs the command-line entry point in a temporary directory:
   shared trunk's draw order), from temporary copies of the config;
   then FC_t and Conv1D_Boundary, whose heads end without a repeat, and
   Conv2.5D with the time residual (E), which repeats the coarse outputs;
+* ``train`` on ``configs/desk.cfg`` at seed 0 for one epoch of
+  Conv2D_t[E], Conv2D_Boundary[Basic] and Conv1D_t_Boundary[E], whose
+  stage-0 layers run in more than one batch chunk at the desk training
+  batch (the time residual batches whole time series, 25 x 64 rows);
 * ``evaluate`` over the first nine cells.
 
 It prints one ``sha256  relative/path`` line per primary output
@@ -50,6 +54,7 @@ SEEDS = (0, 1, 2)
 VARIANTS = ("Conv3D", "Conv2.5D", "Conv2.5Db")
 REGULARIZATIONS = ("Basic", "BN", "SL")
 EXTRA_CELLS = (("FC_t", "Basic"), ("Conv1D_Boundary", "Basic"), ("Conv2.5D", "E"))
+DESK_CELLS = (("Conv2D_t", "E"), ("Conv2D_Boundary", "Basic"), ("Conv1D_t_Boundary", "E"))
 PRIMARY = ("*.wds", "checkpoint.scnn", "history.csv", "run_config.cfg")
 DATASET_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
@@ -76,9 +81,9 @@ def _results_digest(path: Path) -> str:
     return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
-def _config(path: Path, **keys: str) -> Path:
-    """A copy of ``configs/tiny.cfg`` at ``path`` with ``keys`` set."""
-    text = (ROOT / "configs" / "tiny.cfg").read_text()
+def _config(path: Path, base: str = "tiny", **keys: str) -> Path:
+    """A copy of ``configs/<base>.cfg`` at ``path`` with ``keys`` set."""
+    text = (ROOT / "configs" / f"{base}.cfg").read_text()
     for key, value in keys.items():
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     path.write_text(text)
@@ -101,6 +106,10 @@ def main_digests() -> None:
         cells = _config(tmp / "tiny_evaluate.cfg", variants=", ".join(VARIANTS),
                         regularizations=", ".join(REGULARIZATIONS))
         _run("evaluate", "--config", str(cells), "--seed", "0", "--out", str(run))
+        for variant, regularization in DESK_CELLS:
+            cell = _config(tmp / f"desk_{variant}.cfg", base="desk", variant=variant,
+                           regularization=regularization, epochs="1")
+            _run("train", "--config", str(cell), "--seed", "0", "--out", str(tmp / "desk" / "seed0"))
         outputs = sorted({p for pattern in PRIMARY for p in tmp.rglob(pattern)})
         for path in outputs:
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(tmp)}")
