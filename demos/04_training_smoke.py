@@ -37,9 +37,9 @@ pscaler = ParamScaler().fit(train_ds.param_matrix())
 
 spec = VariantSpec("Conv2.5D", ("BN",))
 model = build_model(spec, grid, WIDTHS, seed=0)
-budget = count_params(model)
-print(f"{spec.label()}: {budget.decomposed_count} trainable weights "
-      f"({budget.full_count} with full kernels)")
+full = count_params(build_model(VariantSpec("Conv3D", ("BN",)), grid, WIDTHS, seed=0))
+print(f"{spec.label()}: {count_params(model).decomposed_count} trainable weights "
+      f"(Conv3D[BN], its full-kernel twin: {full.decomposed_count})")
 
 result = train(
     model,

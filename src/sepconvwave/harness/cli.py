@@ -239,7 +239,7 @@ def cmd_compress(cfg) -> None:
         kernels = layer.kernel.value
         for j in range(kernels.shape[0]):
             k = kernels[j]
-            rank = min(r, min(k.shape[0], k.shape[1]))
+            rank = min(r, k.shape[0], k.size // k.shape[0])  # the unfolding's bound
             decomp = decompose_2d(k, rank) if k.ndim == 2 else decompose_3d(k, rank)
             res = residual_norm(k, decomp)
             lines.append(f"{idx},{j},{res!r},{float(np.sqrt(np.sum(k * k)))!r}")

@@ -14,8 +14,8 @@ receives.
 A layer's ``state()`` is its persistent tensors, the parameters and
 ``BatchNorm``'s running statistics, given as the layer's own arrays.
 Layers have no load path of their own:
-:meth:`sepconvwave.nn.Model.load_state_dict` checks every name and shape
-and then writes into those arrays.
+:meth:`sepconvwave.nn.Model.load_state_dict` checks every name, shape
+and value and then writes into those arrays.
 
 Convolutions follow the channel-summed contract: one kernel per output
 channel, applied to the sum over input channels, stride 1, no padding,

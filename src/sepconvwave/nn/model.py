@@ -186,10 +186,11 @@ class Model:
     def load_state_dict(self, tensors: dict[str, np.ndarray]) -> None:
         """Restore every tensor of :meth:`state_dict`, or none of them.
 
-        This is the one load path.  Every name and shape is checked first,
-        and a mismatch raises ``ValueError`` naming the full tensor name
-        (``head_u.04.batchnorm.running_mean``) with the model unchanged;
-        only then is each tensor copied into the model's own array.
+        This is the one load path.  Every name, shape and value is checked
+        first, and a mismatch or a non-finite entry raises ``ValueError``
+        naming the full tensor name (``head_u.04.batchnorm.running_mean``)
+        with the model unchanged; only then is each tensor copied into the
+        model's own array.
         """
         own = self.state_dict()
         missing, extra = own.keys() - tensors.keys(), tensors.keys() - own.keys()
@@ -200,6 +201,8 @@ class Model:
                 raise ValueError(
                     f"shape mismatch for {name!r}: expected {array.shape}, got {tensors[name].shape}"
                 )
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError(f"tensor {name!r} is not finite")
         for name, array in own.items():
             array[...] = tensors[name]
 
@@ -282,26 +285,15 @@ def fold_batchnorm(model: Model) -> Model:
 
 @dataclass(frozen=True)
 class ParamBudget:
-    """Trainable-parameter counts for full versus decomposed kernels."""
+    """Trainable-parameter count of a model as it is built."""
 
-    full_count: int
     decomposed_count: int
 
 
 def count_params(model: Model) -> ParamBudget:
-    """Exact trainable-scalar counts.
+    """Exact trainable-scalar count: what the model actually trains.
 
-    ``decomposed_count`` is what the model actually trains;
-    ``full_count`` replaces every separable layer by the equivalent full
-    kernel (product of extents), so the pair quantifies the compression.
-    Batch-norm gains/shifts count, running statistics do not.
+    A separable layer counts its stage kernels, never the full product of
+    its extents.  Batch-norm gains/shifts count, running statistics do not.
     """
-    full = decomposed = 0
-    for layer in model.all_layers():
-        actual = sum(p.size for _, p in layer.parameters())
-        decomposed += actual
-        if isinstance(layer, SeparableConv):
-            full += layer.n_f * int(np.prod(layer.extents)) + layer.bias.size
-        else:
-            full += actual
-    return ParamBudget(full_count=full, decomposed_count=decomposed)
+    return ParamBudget(sum(p.size for layer in model.all_layers() for _, p in layer.parameters()))

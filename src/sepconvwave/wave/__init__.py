@@ -7,8 +7,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
-from .grid import (GridSpec, boundary_index_arrays, extract_boundary, make_grid, restrict,
-                   ring_index, ring_traces)
+from .grid import GridSpec, extract_boundary, make_grid, restrict, ring_index, ring_traces
 from .sampling import WaveParams, lhs_sample
 from .solver import (
     solve_wave,
@@ -25,7 +24,6 @@ __all__ = [
     "Scaler",
     "WaveDataset",
     "WaveParams",
-    "boundary_index_arrays",
     "default_bounds",
     "extract_boundary",
     "generate_dataset",

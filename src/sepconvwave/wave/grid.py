@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridSpec", "make_grid", "restrict", "ring_index", "ring_traces", "extract_boundary",
-           "boundary_index_arrays"]
+__all__ = ["GridSpec", "make_grid", "restrict", "ring_index", "ring_traces", "extract_boundary"]
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,6 @@ def ring_index(grid: GridSpec) -> np.ndarray:
     znx, zny = grid.zoom_nx, grid.zoom_ny
     rows = np.arange(1, znx - 1) * zny
     return np.concatenate([np.arange(zny), (znx - 1) * zny + np.arange(zny), rows, rows + zny - 1])
-
-
-def boundary_index_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Zoom-relative ``(i, j)`` indices of :func:`ring_index`'s nodes, in its order."""
-    return np.divmod(ring_index(grid), grid.zoom_ny)
 
 
 def ring_traces(window: np.ndarray, grid: GridSpec) -> np.ndarray:

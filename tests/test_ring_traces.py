@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepconvwave.wave import (
-    boundary_index_arrays,
     extract_boundary,
     make_grid,
     restrict,
@@ -42,8 +41,7 @@ def _canonical(znx, zny):
 @given(_cases())
 def test_ring_traces_index_the_ring_in_canonical_order(case):
     grid, lead, seed = case
-    ii, jj = boundary_index_arrays(grid)
-    assert (ii.tolist(), jj.tolist()) == _canonical(grid.zoom_nx, grid.zoom_ny)
+    ii, jj = (np.array(a) for a in _canonical(grid.zoom_nx, grid.zoom_ny))
     assert np.array_equal(ring_index(grid), ii * grid.zoom_ny + jj)
     assert len(ii) == grid.n_boundary
 

@@ -14,12 +14,12 @@ from sepconvwave.wave import (
     Scaler,
     WaveDataset,
     WaveParams,
-    boundary_index_arrays,
     generate_dataset,
     lhs_sample,
     load_dataset,
     make_grid,
     restrict,
+    ring_index,
     ring_traces,
     save_dataset,
     solve_wave,
@@ -141,7 +141,7 @@ class TestDataset:
     def test_boundary_trace_matches_zoom_ring(self):
         grid = make_grid(nx=24, ny=24, zoom_nx=8, zoom_ny=8, nt=16)
         ds = generate_dataset(grid, 3, seed=23)
-        ii, jj = boundary_index_arrays(grid)
+        ii, jj = np.divmod(ring_index(grid), grid.zoom_ny)
         assert np.array_equal(ds.boundary_u, ds.u[:, :, ii, jj])
         assert np.array_equal(ds.boundary_v, ds.v[:, :, ii, jj])
 

@@ -8,10 +8,10 @@ import pytest
 from sepconvwave.wave import (
     GridSpec,
     WaveParams,
-    boundary_index_arrays,
     extract_boundary,
     make_grid,
     restrict,
+    ring_index,
     solve_wave,
     source_node,
     submodel_solve,
@@ -171,7 +171,7 @@ class TestRestrictAndBoundary:
 
     def test_boundary_ring_covers_rim_once(self):
         grid = make_grid(nx=20, ny=20, zoom_nx=6, zoom_ny=5, nt=4)
-        ii, jj = boundary_index_arrays(grid)
+        ii, jj = np.divmod(ring_index(grid), grid.zoom_ny)
         assert len(ii) == grid.n_boundary
         pairs = set(zip(ii.tolist(), jj.tolist()))
         assert len(pairs) == grid.n_boundary

@@ -1,4 +1,4 @@
-"""Print the sha256 of every primary output of ``generate``, ``train`` and ``evaluate``.
+"""Print the sha256 of every primary output of ``generate``, ``train``, ``evaluate`` and ``compress``.
 
 Runs the command-line entry point in a temporary directory:
 
@@ -12,11 +12,14 @@ Runs the command-line entry point in a temporary directory:
   Conv2D_t[E], Conv2D_Boundary[Basic] and Conv1D_t_Boundary[E], whose
   stage-0 layers run in more than one batch chunk at the desk training
   batch (the time residual batches whole time series, 25 x 64 rows);
-* ``evaluate`` over the first nine cells.
+* ``evaluate`` over the first nine cells;
+* ``compress`` of the tiny Conv3D[Basic] cell, whose kernels are 3-way,
+  and of the desk Conv2D_Boundary[Basic] cell, whose kernels are 2-way.
 
 It prints one ``sha256  relative/path`` line per primary output
 (``*.wds``, ``checkpoint.scnn``, ``history.csv``, ``run_config.cfg``),
-the files the determinism contract covers; ``timing.csv`` is left out.
+the files the determinism contract covers, and per ``compress.csv``;
+``timing.csv`` is left out.
 Each ``*.wds`` also gets a ``sha256  relative/path:arrays`` line over its
 loaded ``params``, ``u``, ``v``, ``boundary_u`` and ``boundary_v`` (shape
 and float64 bytes; the last three are derived from ``u`` on load), which
@@ -55,7 +58,8 @@ VARIANTS = ("Conv3D", "Conv2.5D", "Conv2.5Db")
 REGULARIZATIONS = ("Basic", "BN", "SL")
 EXTRA_CELLS = (("FC_t", "Basic"), ("Conv1D_Boundary", "Basic"), ("Conv2.5D", "E"))
 DESK_CELLS = (("Conv2D_t", "E"), ("Conv2D_Boundary", "Basic"), ("Conv1D_t_Boundary", "E"))
-PRIMARY = ("*.wds", "checkpoint.scnn", "history.csv", "run_config.cfg")
+COMPRESSED = (("tiny", "Conv3D"), ("desk", "Conv2D_Boundary"))  # each trained above, Basic
+PRIMARY = ("*.wds", "checkpoint.scnn", "history.csv", "run_config.cfg", "compress.csv")
 DATASET_FIELDS = ("u", "v", "boundary_u", "boundary_v")
 
 
@@ -110,6 +114,10 @@ def main_digests() -> None:
             cell = _config(tmp / f"desk_{variant}.cfg", base="desk", variant=variant,
                            regularization=regularization, epochs="1")
             _run("train", "--config", str(cell), "--seed", "0", "--out", str(tmp / "desk" / "seed0"))
+        for base, variant in COMPRESSED:
+            cell = _config(tmp / f"{base}_{variant}_compress.cfg", base=base, variant=variant,
+                           regularization="Basic")
+            _run("compress", "--config", str(cell), "--seed", "0", "--out", str(tmp / base / "seed0"))
         outputs = sorted({p for pattern in PRIMARY for p in tmp.rglob(pattern)})
         for path in outputs:
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(tmp)}")
