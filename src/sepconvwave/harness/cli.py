@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,7 @@ def _load_setup(args):
         cfg.seed = args.seed
     if args.out is not None:
         cfg.outdir = args.out
+    cfg.validate()
     return cfg
 
 
@@ -147,8 +149,13 @@ def cmd_train(cfg) -> None:
 def cmd_sweep(cfg) -> None:
     specs = cfg.sweep_cells()
     train_ds, test_ds, scaler, pscaler = _load_data(cfg)
-    for spec in specs:
+    start = time.perf_counter()
+    for n, spec in enumerate(specs, start=1):
+        cell_start = time.perf_counter()
         _train_cell(cfg, spec, train_ds, scaler, pscaler)
+        now = time.perf_counter()
+        eta = (now - start) / n * (len(specs) - n)
+        print(f"({now - cell_start:.1f} s; cell {n} of {len(specs)}, ETA {eta:.0f} s)")
     cells = _evaluate_cells(cfg, specs, train_ds, test_ds, scaler, pscaler)
     paths = emit_tables(cells, cfg.threshold, cfg.outdir)
     print(f"wrote {paths['csv']} and {paths['text']}")

@@ -152,7 +152,7 @@ class ExperimentConfig:
         for key in ("lr0", "lr_final"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"[training] {key} must be > 0, got {getattr(self, key)}")
-        for key in ("epochs", "batch_size", "lambda_euler"):
+        for key in ("epochs", "batch_size", "lambda_euler", "seed"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"[training] {key} must be >= 0, got {getattr(self, key)}")
         if self.compress_rank < 1:

@@ -1,5 +1,6 @@
 """CLI dispatch: subcommands, exit codes, determinism contract."""
 
+import re
 import shutil
 import struct
 import warnings
@@ -103,6 +104,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: [sampling] source_half_x = 0.1, source_half_y = 0.1")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep", "evaluate", "compress", "tables"])
+    def test_negative_seed_flag_is_one_configuration_error_line(self, trained_run, capsys, command):
+        # with data present, train used to fail at run time on the seed
+        assert main([command, "--config", TINY, "--seed", "-3", "--out", str(trained_run)]) == 1
+        assert capsys.readouterr().err == "configuration error: [training] seed must be >= 0, got -3\n"
+
+    def test_negative_seed_in_the_file_is_one_configuration_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "seed.cfg"
+        bad.write_text(Path(TINY).read_text().replace("seed = 0", "seed = -2"))
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "configuration error: [training] seed must be >= 0, got -2\n"
         assert not (tmp_path / "o").exists()
 
     def test_train_without_dataset_is_runtime_error(self, tmp_path):
@@ -284,6 +298,22 @@ class TestTrain:
         cfg = ExperimentConfig.from_text(snap)
         assert cfg.variant == "FC_t"
         assert cfg.to_text() == snap
+
+
+class TestSweep:
+    def test_each_cell_reports_its_time_and_an_eta(self, trained_run, tmp_path, capsys):
+        for name in ("train.wds", "test.wds"):
+            shutil.copy(trained_run / name, tmp_path / name)
+        capsys.readouterr()
+        assert main(["sweep", "--config", TINY, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # tiny.cfg sweeps FC_t and Conv2.5Db, each with Basic and SL
+        progress = [line for line in lines if line.startswith("(")]
+        assert len(progress) == 4
+        for n, line in enumerate(progress, start=1):
+            assert re.fullmatch(rf"\(\d+\.\d s; cell {n} of 4, ETA \d+ s\)", line), line
+            assert lines[lines.index(line) - 1].endswith("(5 epochs)")
+        assert progress[-1].endswith("ETA 0 s)")
 
 
 class TestEvaluateCompressTables:

@@ -5,10 +5,15 @@ rewrites the ring after every step.  The oracle here is the stepper that
 ran the 5-point stencil on the interior view ``u[:, 1:-1, 1:-1]`` only,
 with the source forcing built one ``np.sin`` call at a time.  Both solve
 paths must give its bytes on any grid: nx != ny, windows on every wall,
-sources on walls, blocks of several samples and random ring traces.
+sources on walls, blocks of several samples and random ring traces.  The
+solver steps only the rows its light-cone rule keeps; the oracle, which
+steps every row, pins both halves of that rule.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +25,7 @@ from sepconvwave.wave import (
     source_node,
     submodel_solve_batch,
 )
+from sepconvwave.wave import solver
 
 _INNER = (slice(None), slice(1, -1), slice(1, -1))
 
@@ -135,6 +141,82 @@ def test_desk_blocks_equal_the_interior_stepper():
     rng = np.random.default_rng(27)
     params = [WaveParams(float(rng.uniform(np.pi, 4 * np.pi)), *rng.uniform(-1, 1, 2))
               for _ in range(9)]
+    want = _oracle_zoom(params, grid)
+    assert np.any(want != 0.0)
+    assert solve_zoom(params, grid).tobytes() == want.tobytes()
+
+
+@st.composite
+def _cone_cases(draw):
+    """:func:`_cases` with ``nt`` drawn both below and above ``nx``."""
+    grid, params, seed = draw(_cases())
+    return replace(grid, nt=draw(st.integers(2, 2 * grid.nx + 2))), params, seed
+
+
+def _window_rows(grid):
+    return grid.zoom_ix, grid.zoom_ix + grid.zoom_nx - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cone_cases())
+def test_rows_left_out_on_the_source_side_are_exact_zeros(case):
+    grid, params, seed = case
+    i, j = source_node(params, grid)
+    rows = np.flatnonzero((0 < i) & (i < grid.nx - 1) & (0 < j) & (j < grid.ny - 1))
+    # a forcing already nonzero at step 0, unlike sin(omega t), so the rule must be tight
+    f = np.random.default_rng(seed).standard_normal((len(rows), grid.nt - 1))
+    field = np.empty((len(params), grid.nt, grid.nx, grid.ny))
+    _oracle_leapfrog(np.zeros((len(params), grid.nx, grid.ny)), grid, field,
+                     source=(rows, i[rows], j[rows], f) if len(rows) else None)
+    if not len(rows):  # every source on a wall: nothing leaves rest
+        assert not field.any() and not np.signbit(field).any()
+        return
+    for t in range(grid.nt - 1):
+        # the window side kept out of it: the whole grid is recorded
+        lo, hi = solver._cone(t, grid.nt, grid.nx, (i[rows].min(), i[rows].max()), (0, grid.nx - 1))
+        left_out = np.delete(field[:, t + 1], np.s_[lo:hi], axis=1)
+        assert not left_out.any() and not np.signbit(left_out).any(), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cone_cases())
+def test_nan_in_rows_left_out_on_the_window_side_never_reaches_the_window(case):
+    grid, params, seed = case
+    nx, ny, nt = grid.nx, grid.ny, grid.nt
+    u = np.zeros((len(params), nx, ny))
+    u[_INNER] = np.random.default_rng(seed).standard_normal(u[_INNER].shape)
+    # every interior node gets a forcing: NaN in the rows step t leaves out, else +0.0,
+    # so both time levels the next step reads hold NaN wherever the solver keeps a stale row
+    b, ii, jj = (a.ravel() for a in np.meshgrid(np.arange(len(u)), np.arange(1, nx - 1),
+                                                np.arange(1, ny - 1), indexing="ij"))
+    poison = np.zeros((len(b), nt - 1))
+    for t in range(nt - 1):
+        lo, hi = solver._cone(t, nt, nx, (0, nx - 1), _window_rows(grid))
+        poison[(ii < lo) | (ii >= hi), t] = np.nan
+    whole = np.empty((len(u), nt, nx, ny))
+    _oracle_leapfrog(u.copy(), grid, whole, source=(b, ii, jj, poison))
+    clean = np.empty((len(u), nt, grid.zoom_nx, grid.zoom_ny))
+    _oracle_leapfrog(u.copy(), grid, clean, (grid.zoom_ix, grid.zoom_iy))
+    window = whole[:, :, grid.zoom_ix : grid.zoom_ix + grid.zoom_nx,
+                   grid.zoom_iy : grid.zoom_iy + grid.zoom_ny]
+    assert np.isfinite(window).all() and np.array_equal(window, clean)
+    assert np.isnan(whole).any() == np.isnan(poison).any()
+
+
+@pytest.mark.parametrize("per_block", [2, 3])
+@pytest.mark.parametrize("order", ["reverse", "shuffled"])
+def test_blocks_of_sorted_source_rows_equal_the_interior_stepper(monkeypatch, per_block, order):
+    # nt > nx; rows on both walls and repeated rows, whose stable sort keeps caller order
+    grid = make_grid(nx=30, ny=22, zoom_nx=8, zoom_ny=6, nt=36)
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", per_block * 4 * grid.nx * grid.ny * 8)
+    rng = np.random.default_rng(34)
+    rows = [0, 1, 3, 7, 7, 7, 12, 15, 15, 21, 26, 28, 29]
+    params = [_at_node(grid, i, int(rng.integers(1, grid.ny - 1)), float(rng.uniform(1.0, 13.0)))
+              for i in rows]
+    if order == "reverse":
+        params = params[::-1]
+    else:
+        params = [params[k] for k in rng.permutation(len(params))]
     want = _oracle_zoom(params, grid)
     assert np.any(want != 0.0)
     assert solve_zoom(params, grid).tobytes() == want.tobytes()

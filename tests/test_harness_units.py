@@ -254,6 +254,14 @@ variant = Conv2.5D
         with pytest.raises(ValueError, match=rf"\[training\] {key} must be"):
             ExperimentConfig.from_text(f"[training]\ndecay = true\n{line}\n")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^\[training\] seed must be >= 0, got -2$"):
+            ExperimentConfig.from_text("[training]\nseed = -2\n")
+        cfg = ExperimentConfig()
+        cfg.seed = -3
+        with pytest.raises(ValueError, match=r"^\[training\] seed must be >= 0, got -3$"):
+            cfg.validate()
+
     def test_cells(self):
         cfg = ExperimentConfig.from_text(
             "[training]\nvariant = Conv3D\nregularization = E&SL\n"
