@@ -148,6 +148,8 @@ def cmd_train(cfg) -> None:
 
 def cmd_sweep(cfg) -> None:
     specs = cfg.sweep_cells()
+    if not specs:
+        raise _ConfigError("[sweep] names no cell: variants and regularizations must each list one")
     train_ds, test_ds, scaler, pscaler = _load_data(cfg)
     start = time.perf_counter()
     for n, spec in enumerate(specs, start=1):

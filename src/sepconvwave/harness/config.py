@@ -142,17 +142,31 @@ class ExperimentConfig:
                 raise ValueError(f"[sampling] {key} must be in [0, {extent}], got {value}")
         resolve_widths(self.zoo_widths)
         self.cell()
-        self.sweep_cells()
+        cells = self.sweep_cells()
+        for n, spec in enumerate(cells):
+            if spec in cells[:n]:
+                raise ValueError(f"[sweep] names cell {spec.label()} more than once")
         self.compress_spec()
         if self.train_samples < 1 or self.test_samples < 1:
             raise ValueError("need at least one train and one test sample")
+        for key in ("omega_min", "omega_max"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"[sampling] {key} must be finite, got {getattr(self, key)}")
         if not self.omega_min < self.omega_max:
-            raise ValueError("omega bounds must satisfy omega_min < omega_max")
-        # "not value > 0" also rejects NaN; a batch size of 0 means full batch
+            raise ValueError(f"[sampling] omega_max must be > omega_min = {self.omega_min}, "
+                             f"got {self.omega_max}")
+        if not math.isfinite(self.omega_max - self.omega_min):  # the sampler draws over the span
+            raise ValueError(f"[sampling] omega_max - omega_min must be finite, got "
+                             f"{self.omega_max} - {self.omega_min}")
+        # "not 0 < value < inf" also rejects NaN; a batch size of 0 means full batch
         for key in ("lr0", "lr_final"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"[training] {key} must be > 0, got {getattr(self, key)}")
-        for key in ("epochs", "batch_size", "lambda_euler", "seed"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise ValueError(f"[training] {key} must be finite and > 0, got {value}")
+        if not 0 <= self.lambda_euler < math.inf:
+            raise ValueError(f"[training] lambda_euler must be finite and >= 0, "
+                             f"got {self.lambda_euler}")
+        for key in ("epochs", "batch_size", "seed"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"[training] {key} must be >= 0, got {getattr(self, key)}")
         if self.compress_rank < 1:

@@ -10,9 +10,9 @@ draw from one generator.
 
 The MSE is scored in block form: each head's coarse training output
 (:meth:`~sepconvwave.nn.Model.output_repeat`) against the block means of
-its targets, which :func:`train` computes once per call.  The final
-repeat is built only for the time residual, which needs the full
-fields.
+its targets, which :func:`train` computes once per call.  The time
+residual needs the full fields: an ``Upsample`` of the head's factors
+repeats the coarse outputs and block-sums the gradients back.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..nn import Adam, Model, block_mse, block_targets, lr_schedule
+from ..nn import Adam, Model, Upsample, block_mse, block_targets, lr_schedule
 from ..nn.losses import euler_residual, euler_residual_grads
 from ..wave import Scaler, WaveDataset
 from .variants import VariantSpec
@@ -184,12 +184,12 @@ def train(
     else:
         n_units, rows = inputs.shape[0], 1
     batch_units = n_units if settings.batch_size <= 0 else min(settings.batch_size, n_units)
-    blocks = {}
+    blocks, repeats = {}, {}
     for head in model.head_names:
         shape, factors = model.output_repeat(head)
-        full = tuple(n * f for n, f in zip(shape, factors))
+        repeat = repeats[head] = Upsample(factors)
         t = targets[head]
-        means, spread = block_targets(t.reshape((len(t),) + full), factors)
+        means, spread = block_targets(t.reshape((len(t),) + repeat.output_shape(shape)), factors)
         blocks[head] = means, spread, int(np.prod(factors))
 
     result = TrainResult()
@@ -217,10 +217,11 @@ def train(
             if euler is not None:
                 if set(out) != {"u", "v"}:
                     raise ValueError("the time residual needs both field heads")
-                u, v = (model.repeat_output(h, out[h]) for h in ("u", "v"))
+                full = {h: repeats[h].forward(out[h]) for h in ("u", "v")}
+                u, v = (full[h].reshape((len(x),) + targets[h].shape[1:]) for h in ("u", "v"))
                 e_val, gu, gv = _euler_terms(u, v, euler, settings.lambda_euler)
-                grads["u"] = grads["u"] + model.block_sum("u", gu)
-                grads["v"] = grads["v"] + model.block_sum("v", gv)
+                for h, g in (("u", gu), ("v", gv)):
+                    grads[h] = grads[h] + repeats[h].backward(g.reshape(full[h].shape))
             total = sum(losses.values()) + settings.lambda_euler * e_val
             if not np.isfinite(total):
                 raise RuntimeError(f"training diverged at epoch {epoch}: loss={total}")

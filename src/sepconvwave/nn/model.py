@@ -18,8 +18,8 @@ A head's *output repeat* is a final upsample followed only by
 ``Reshape``s.  A training forward stops before it and returns the
 coarse tensor the upsample reads, and ``backward`` takes the gradient of
 that tensor: the loss scores it against block means of the targets (see
-:mod:`sepconvwave.nn.losses`), so training never builds the repeat.  The
-eval forward, the layer lists and the state-dict names still include it.
+:mod:`sepconvwave.nn.losses`), so the head's repeat runs only in the
+eval forward; the layer lists and the state-dict names still include it.
 
 :func:`fold_batchnorm` gives the eval-only form of a model: each
 ``BatchNorm`` folded into the layer that feeds it (Jacob et al. 2018,
@@ -53,9 +53,8 @@ class Model:
     before it, or a second one, raises ``RuntimeError``.
 
     A training forward returns, for a head with an output repeat, the
-    coarse tensor that repeat reads (:meth:`output_repeat`);
-    :meth:`repeat_output` and :meth:`block_sum` map a coarse output and a
-    gradient on the full output between the two shapes.
+    coarse tensor that repeat reads; :meth:`output_repeat` gives its shape
+    and the factors with which ``Upsample`` maps it onto the output.
     """
 
     def __init__(
@@ -100,24 +99,6 @@ class Model:
         layers, cut = self.heads[name], self._cut[name]
         shape = self._coarse[name]
         return shape, layers[cut].factors if cut < len(layers) else (1,) * len(shape)
-
-    def repeat_output(self, name: str, coarse: np.ndarray) -> np.ndarray:
-        """Head ``name``'s output from the coarse tensor of a training forward.
-
-        Runs the output repeat and its reshapes in eval mode, which keeps
-        no cache.
-        """
-        for layer in self.heads[name][self._cut[name] :]:
-            coarse = layer.forward(coarse)
-        return coarse
-
-    def block_sum(self, name: str, grad: np.ndarray) -> np.ndarray:
-        """The gradient on head ``name``'s coarse tensor of ``grad`` on its output."""
-        layers, cut = self.heads[name], self._cut[name]
-        if cut == len(layers):
-            return grad
-        shape = layers[cut].output_shape(self._coarse[name])
-        return layers[cut].backward(grad.reshape((len(grad),) + shape))
 
     def forward(self, x: np.ndarray, training: bool = False) -> dict[str, np.ndarray]:
         """Every head's output, or with ``training`` its coarse tensor.
@@ -187,10 +168,10 @@ class Model:
         """Restore every tensor of :meth:`state_dict`, or none of them.
 
         This is the one load path.  Every name, shape and value is checked
-        first, and a mismatch or a non-finite entry raises ``ValueError``
-        naming the full tensor name (``head_u.04.batchnorm.running_mean``)
-        with the model unchanged; only then is each tensor copied into the
-        model's own array.
+        first, and a mismatch, a non-finite entry or a negative BatchNorm
+        running variance raises ``ValueError`` naming the full tensor name
+        (``head_u.04.batchnorm.running_mean``) with the model unchanged;
+        only then is each tensor copied into the model's own array.
         """
         own = self.state_dict()
         missing, extra = own.keys() - tensors.keys(), tensors.keys() - own.keys()
@@ -203,6 +184,8 @@ class Model:
                 )
             if not np.isfinite(tensors[name]).all():
                 raise ValueError(f"tensor {name!r} is not finite")
+            if name.endswith(".running_var") and (tensors[name] < 0).any():
+                raise ValueError(f"tensor {name!r} has a negative variance")
         for name, array in own.items():
             array[...] = tensors[name]
 

@@ -2,17 +2,19 @@
 
 Integrates ``(1/c^2) u_tt - lap(u) = f`` by leapfrog time stepping on
 the 5-point Laplacian, with a Taylor first step consistent with zero
-initial velocity.  One batched stepper serves every solve: it steps a
-block of samples ``[nx, B, ny]``, rows outermost, as flat spans of rows,
-rewrites the ring after every step, keeps only the two newest time
-levels, and records a window of each level.  A value moves one node a
-step, so each step updates only the rows inside two light cones: those
-the sources can have reached (the rest are exact zeros) and those that
-can still reach a recorded window (the rest are never read again).
-The full solve gives it homogeneous Dirichlet walls and a point
-source ``f = sin(omega t)`` at the grid node nearest each sample's
-source coordinates, scaled by ``1/(dx dy)`` as a discrete Dirac (a
-source on a wall node is dropped for that sample).  The zoom submodel
+initial velocity.  One batched stepper, :func:`_leapfrog`, serves every
+solve and alone knows its block: callers pass the grid's extents, the
+recorded window, an optional step 0, the source nodes with their forcing
+and the ring traces; it lays the samples out rows outermost and steps
+them as flat spans of rows, applies the boundary rule at every level,
+keeps only the two newest time levels, and records the window of each
+level.  A value moves one node a step, so each step updates only the
+rows inside two light cones: those step 0 can have reached (the rest are
+exact zeros) and those that can still reach the window (the rest are
+never read again).  The full solve gives it homogeneous Dirichlet walls
+and a point source ``f = sin(omega t)`` at the grid node nearest each
+sample's source coordinates, scaled by ``1/(dx dy)`` as a discrete Dirac
+(a source on a wall node is dropped for that sample).  The zoom submodel
 gives it the window grid with the ring set from boundary traces.  A
 single-sample call is a block of one, and :func:`solve_zoom` sorts its
 samples by source row and sizes its blocks to the cache.  Every
@@ -46,8 +48,9 @@ def _cone(t: int, nt: int, m: int, lit, window) -> tuple[int, int]:
     """Rows ``[lo, hi)`` of an ``m``-row grid that step ``t`` (level ``t`` to ``t + 1``) updates.
 
     A value moves one row per step.  ``lit = (a, b)`` bounds the rows
-    step 0 can make nonzero, so level ``t + 1`` is zero more than ``t``
-    rows outside it; ``window = (c, d)`` bounds the recorded rows, which
+    step 0 can make nonzero (:func:`_leapfrog` derives it), so level
+    ``t + 1`` is zero more than ``t`` rows outside it; ``window = (c,
+    d)`` bounds the recorded rows, which
     a row of level ``t + 1`` more than ``nt - 2 - t`` rows outside it
     cannot reach.  The wall rows 0 and ``m - 1`` are never stepped.
     """
@@ -57,39 +60,63 @@ def _cone(t: int, nt: int, m: int, lit, window) -> tuple[int, int]:
     return lo, max(lo, hi)
 
 
-def _leapfrog(
-    u: np.ndarray, grid: GridSpec, out: np.ndarray, lit, origin=(0, 0), ring=None, source=None
-) -> None:
-    """Step a block ``u[m, B, n]`` from step 0 at rest: a Taylor start, then leapfrog.
+def _leapfrog(grid: GridSpec, shape, window, u0=None, source=None, traces=None) -> np.ndarray:
+    """Solves of ``B`` samples on an ``m x n`` grid from step 0: windows ``[B, nt, wx, wy]``.
 
-    ``u`` holds step 0, ring included, and is overwritten.  A run of rows
-    across the block is one flat span; the 5-point stencil runs on it as
-    1-D slices at offsets +-1 and +-B n, in 11 passes a step with
-    ``2 u_t`` formed once.  Step ``t`` updates only the rows
-    :func:`_cone` gives for ``lit`` and the window.  A row left out on
-    the ``lit`` side was never written and holds the exact zeros stepping
-    would give; one left out on the window side keeps a stale level that
-    no updated row reads again.  The span steps wall and ring nodes too,
-    so one ring rule overwrites them after every step: without ``ring``
-    the walls are zero (step 0's walls for every caller); ``ring = ((ri,
-    rj), traces)`` sets step ``t``'s ring nodes, the rows and columns of
-    :func:`~sepconvwave.wave.grid.ring_index`, to ``traces[:, t]``.  An
-    interior node gets the operations of an interior-only stencil on the
-    same operands in the same order.  ``out[:, t]`` receives the window
-    of step ``t`` at ``origin``, of shape ``out.shape[2:]``.  ``source =
-    (idx, f)`` adds ``f[:, t]`` to step ``t``'s right-hand side at flat
-    indices ``idx`` of the block.
+    Callers pass the block ``shape = (B, m, n)``, the recorded ``window =
+    ((ox, oy), (wx, wy))``, an optional step 0 ``u0[B, m, n]`` (default
+    rest; its walls are dropped), the sources ``((i, b, j), f)``, adding
+    ``f[s, t]`` to step ``t``'s right-hand side at node ``(i[s], j[s])``
+    of sample ``b[s]``, and a window grid's ring ``traces[B, nt,
+    n_boundary]``.  Initial velocity is zero: a Taylor start, then leapfrog.
+
+    The rest is derived here.  The block is laid out ``[m, B, n]``, rows
+    outermost: a run of rows across the block is one flat span, and the
+    5-point stencil runs on it as 1-D slices at offsets +-1 and +-B n, in
+    11 passes a step with ``2 u_t`` formed once.  The span steps wall and
+    ring nodes too, so one boundary rule sets every level, step 0
+    included: the walls are zero, or with ``traces`` the ring nodes of
+    :func:`~sepconvwave.wave.grid.ring_index` hold ``traces[:, t]``.
+    Step 0 can light the source rows and the rows within one of a ring row
+    (counted even at zero) or of a nonzero row of step 0, and step ``t``
+    updates only the rows :func:`_cone` gives for them and the window.  A
+    row left out on the lit side holds the exact zeros stepping would
+    give; one left out on the window side keeps a stale level that no
+    updated row reads again.  An interior node gets the operations of an
+    interior-only stencil on the same operands in the same order.
     """
+    (B, m, n), ((ox, oy), (wx, wy)) = shape, window
     dx2, dy2, k = grid.dx**2, grid.dy**2, (grid.c * grid.dt) ** 2
-    (ox, oy), (wx, wy) = origin, out.shape[2:]
-    m, w = u.shape[0], u.shape[1] * u.shape[2]
+    u, live = np.zeros((m, B, n)), np.zeros(m, dtype=bool)
+    if u0 is not None:
+        u[1:-1, :, 1:-1] = u0[:, 1:-1, 1:-1].transpose(1, 0, 2)
+        live = ((u != 0.0) | np.signbit(u)).any(axis=(1, 2))  # a -0.0 steps to +0.0
+    if traces is not None:
+        ri, rj = np.divmod(ring_index(grid), n)
+        live[ri] = True
+    lit = np.convolve(live, [1, 1, 1], "same") > 0
+    if source is not None:
+        (si, sb, sj), f = source
+        lit[si] = True
+        idx = (si * B + sb) * n + sj
+    rows = np.flatnonzero(lit)  # with none, a seed beyond every step's reach
+    seed = (rows[0], rows[-1]) if len(rows) else (m + grid.nt,) * 2
+    w, lo, hi = B * n, 0, m  # step 0's boundary rule covers every row
     cur, prev = u.reshape(-1), u.flatten()
     # indexed like the block; a source row the window cone has dropped adds into
     # scratch that no step reads, since each step writes its span before reading it
     two_, rhs_, tmp_ = (np.zeros(u.size) for _ in range(3))
-    out[:, 0] = u[ox : ox + wx, :, oy : oy + wy].transpose(1, 0, 2)
-    for t in range(grid.nt - 1):
-        lo, hi = _cone(t, grid.nt, m, lit, (ox, ox + wx - 1))
+    out = np.empty((B, grid.nt, wx, wy))
+    for t in range(grid.nt):
+        level = cur.reshape(u.shape)
+        if traces is None:
+            level[lo:hi, :, 0] = level[lo:hi, :, -1] = 0.0
+        else:
+            level[ri, :, rj] = traces[:, t].T
+        out[:, t] = level[ox : ox + wx, :, oy : oy + wy].transpose(1, 0, 2)
+        if t == grid.nt - 1:
+            break
+        lo, hi = _cone(t, grid.nt, m, seed, (ox, ox + wx - 1))
         i0, i1 = lo * w, hi * w
         two, rhs, tmp = two_[i0:i1], rhs_[i0:i1], tmp_[i0:i1]
         # rhs = (a - 2c + b)/dx^2 + (d - 2c + e)/dy^2, each operation in this order
@@ -102,7 +129,6 @@ def _leapfrog(
         np.divide(tmp, dy2, out=tmp)
         np.add(rhs, tmp, out=rhs)
         if source is not None:
-            idx, f = source
             rhs_[idx] += f[:, t]
         if t == 0:  # u_1 = u_0 + (0.5 k) rhs
             np.multiply(rhs, 0.5 * k, out=rhs)
@@ -112,13 +138,7 @@ def _leapfrog(
             np.multiply(rhs, k, out=rhs)
             np.add(two, rhs, out=prev[i0:i1])
         cur, prev = prev, cur
-        level = cur.reshape(u.shape)
-        if ring is None:
-            level[lo:hi, :, 0] = level[lo:hi, :, -1] = 0.0
-        else:
-            (ri, rj), traces = ring
-            level[ri, :, rj] = traces[:, t + 1].T
-        out[:, t + 1] = level[ox : ox + wx, :, oy : oy + wy].transpose(1, 0, 2)
+    return out
 
 
 def source_node(params, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -136,24 +156,13 @@ def source_node(params, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return i.astype(np.intp), j.astype(np.intp)
 
 
-def _full_solve(params: np.ndarray, grid: GridSpec, u: np.ndarray, origin, shape) -> np.ndarray:
-    """Solves of ``params[B, 3]`` from step 0 ``u[nx, B, ny]``: windows ``[B, nt, *shape]``."""
+def _full_solve(params: np.ndarray, grid: GridSpec, window, u0=None) -> np.ndarray:
+    """Solves of ``params[B, 3]`` from ``u0[B, nx, ny]`` or rest, kept on ``window``."""
     grid.validate()
     i, j = source_node(params, grid)
-    rows = np.flatnonzero((0 < i) & (i < grid.nx - 1) & (0 < j) & (j < grid.ny - 1))
-    source = None
-    if len(rows):
-        steps = np.arange(grid.nt - 1)
-        f = np.sin(params[rows, :1] * steps * grid.dt) * (1.0 / (grid.dx * grid.dy))
-        # node (i, row, j) of the [nx, B, ny] block
-        source = ((i[rows] * len(params) + rows) * grid.ny + j[rows], f)
-    # the rows step 0 can make nonzero: at rest, the source rows' hull (with no source,
-    # rows beyond every step's reach); every row when u is not at rest
-    lit = (i[rows].min(), i[rows].max()) if len(rows) else (grid.nx + grid.nt,) * 2
-    lit = (0, grid.nx - 1) if u.any() else lit
-    out = np.empty((len(params), grid.nt) + shape)
-    _leapfrog(u, grid, out, lit, origin, source=source)
-    return out
+    b = np.flatnonzero((0 < i) & (i < grid.nx - 1) & (0 < j) & (j < grid.ny - 1))
+    f = np.sin(params[b, :1] * np.arange(grid.nt - 1) * grid.dt) * (1.0 / (grid.dx * grid.dy))
+    return _leapfrog(grid, (len(params), grid.nx, grid.ny), window, u0, ((i[b], b, j[b]), f))
 
 
 def solve_wave(params: WaveParams, grid: GridSpec, u0: np.ndarray | None = None) -> np.ndarray:
@@ -163,12 +172,10 @@ def solve_wave(params: WaveParams, grid: GridSpec, u0: np.ndarray | None = None)
     (default zero) sets the initial displacement; initial velocity is
     zero, so the first step is the second-order Taylor start.
     """
-    u = np.zeros((grid.nx, 1, grid.ny))
-    if u0 is not None:
-        if u0.shape != (grid.nx, grid.ny):
-            raise ValueError(f"u0 shape {u0.shape} != {(grid.nx, grid.ny)}")
-        u[1:-1, 0, 1:-1] = u0[1:-1, 1:-1]
-    return _full_solve(np.array([params], dtype=np.float64), grid, u, (0, 0), (grid.nx, grid.ny))[0]
+    if u0 is not None and u0.shape != (grid.nx, grid.ny):
+        raise ValueError(f"u0 shape {u0.shape} != {(grid.nx, grid.ny)}")
+    return _full_solve(np.array([params], dtype=np.float64), grid, ((0, 0), (grid.nx, grid.ny)),
+                       None if u0 is None else u0[None])[0]
 
 
 def solve_zoom(params, grid: GridSpec) -> np.ndarray:
@@ -186,8 +193,7 @@ def solve_zoom(params, grid: GridSpec) -> np.ndarray:
     order = np.argsort(source_node(params, grid)[0], kind="stable") if len(params) else []
     for start in range(0, len(params), block):
         rows = order[start : start + block]
-        out[rows] = _full_solve(params[rows], grid, np.zeros((grid.nx, len(rows), grid.ny)),
-                                (grid.zoom_ix, grid.zoom_iy), out.shape[2:])
+        out[rows] = _full_solve(params[rows], grid, ((grid.zoom_ix, grid.zoom_iy), out.shape[2:]))
     return out
 
 
@@ -215,12 +221,7 @@ def submodel_solve_batch(traces: np.ndarray, params, grid: GridSpec) -> np.ndarr
             f"sample {np.argmax(inside)}: source node lies inside the zoom window interior"
         )
 
-    ri, rj = np.divmod(ring_index(grid), zny)
-    u = np.zeros((znx, len(params), zny))
-    u[ri, :, rj] = traces[:, 0].T
-    out = np.empty((len(params), grid.nt, znx, zny))
-    _leapfrog(u, grid, out, (0, znx - 1), ring=((ri, rj), traces))
-    return out
+    return _leapfrog(grid, (len(params), znx, zny), ((0, 0), (znx, zny)), traces=traces)
 
 
 def submodel_solve(traces: np.ndarray, params: WaveParams, grid: GridSpec) -> np.ndarray:

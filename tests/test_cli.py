@@ -1,8 +1,11 @@
 """CLI dispatch: subcommands, exit codes, determinism contract."""
 
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -14,6 +17,7 @@ from sepconvwave.harness.tables import CSV_HEADER
 from sepconvwave.wave import load_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 TINY = str(CONFIGS / "tiny.cfg")
 
 
@@ -22,6 +26,14 @@ def trained_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run"
     assert main(["generate", "--config", TINY, "--out", str(out)]) == 0
     assert main(["train", "--config", TINY, "--out", str(out)]) == 0
+    return out
+
+
+def _with_data(run, out):
+    """``out`` holding copies of ``run``'s datasets and nothing else."""
+    out.mkdir()
+    for name in ("train.wds", "test.wds"):
+        shutil.copy(run / name, out / name)
     return out
 
 
@@ -94,6 +106,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and len(err.splitlines()) == 1
         assert "Traceback" not in err and "repeated key" not in err
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("[training]\n", "[training]\nlambda_euler = inf\n",
+         "[training] lambda_euler must be finite and >= 0, got inf"),
+        ("[training]\n", "[training]\nlr0 = inf\n", "[training] lr0 must be finite and > 0, got inf"),
+        ("[sampling]\n", "[sampling]\nomega_max = inf\n",
+         "[sampling] omega_max must be finite, got inf"),
+    ], ids=["lambda_euler", "lr0", "omega_max"])
+    def test_non_finite_rate_or_frequency_bound_is_one_configuration_error_line(
+            self, tmp_path, capsys, command, old, new, message):
+        # inf used to reach training as a NaN loss, or the sampler as numpy's range error
+        bad = tmp_path / "inf.cfg"
+        bad.write_text(Path(TINY).read_text().replace(old, new))
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("old, new, label", [
+        ("variants = FC_t, Conv2.5Db", "variants = FC_t, FC_t", "FC_t[Basic]"),
+        ("regularizations = Basic, SL", "regularizations = BN&SL, SL&BN", "FC_t[BN&SL]"),
+    ], ids=["variant", "regularization"])
+    def test_sweep_cell_named_twice_is_configuration_error(
+            self, trained_run, tmp_path, capsys, old, new, label):
+        # it used to train the cell twice and write results.csv rows that tables refuses
+        bad = tmp_path / "twice.cfg"
+        bad.write_text(Path(TINY).read_text().replace(old, new))
+        out = _with_data(trained_run, tmp_path / "o")
+        for command in ("generate", "sweep"):
+            assert main([command, "--config", str(bad), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"configuration error: [sweep] names cell {label} more than once\n")
+        assert sorted(q.name for q in out.iterdir()) == ["test.wds", "train.wds"]
+
+    def test_sweep_of_no_cell_is_configuration_error(self, trained_run, tmp_path, capsys):
+        # it used to exit 2 with "no trained cells ...; run train or sweep"
+        bad = tmp_path / "empty.cfg"
+        bad.write_text(Path(TINY).read_text().replace("variants = FC_t, Conv2.5Db", "variants ="))
+        out = _with_data(trained_run, tmp_path / "o")
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("configuration error: [sweep] names no cell: "
+                                           "variants and regularizations must each list one\n")
+        assert sorted(q.name for q in out.iterdir()) == ["test.wds", "train.wds"]
 
     def test_source_box_inside_zoom_window_is_configuration_error(self, tmp_path, capsys):
         # the config loads; the sampler refuses the box once generate draws the sources
@@ -262,6 +317,21 @@ class TestTrain:
                 first / "Conv2p5Db_BN" / name
             ).read_bytes(), name
 
+    def test_one_and_two_blas_threads_give_the_same_bytes(self, tmp_path):
+        # the contract holds per thread count; this cell's bytes agree across the two
+        cfg = tmp_path / "conv3d_bn.cfg"
+        cfg.write_text(Path(TINY).read_text().replace("variant = FC_t", "variant = Conv3D")
+                       .replace("regularization = SL", "regularization = BN"))
+        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+            for command in ("generate", "train"):
+                subprocess.run([sys.executable, "-m", "sepconvwave.harness.cli", command,
+                                "--config", str(cfg), "--out", str(tmp_path / threads)],
+                               env=env, check=True, capture_output=True)
+        for name in ("train.wds", "test.wds", "Conv3D_BN/checkpoint.scnn", "Conv3D_BN/history.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
     def test_failed_history_write_keeps_previous_file(self, trained_run, tmp_path, monkeypatch, capsys):
         import sepconvwave.harness.tables as tables_module
 
@@ -351,6 +421,30 @@ class TestEvaluateCompressTables:
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"checkpoint.scnn: shape mismatch for '{name}'" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_evaluate_on_a_negative_running_variance_is_runtime_error(self, tmp_path, capsys):
+        # it used to warn from the folded layer's sqrt and write nan into results.csv
+        from sepconvwave.nn.checkpoint import load_tensors, save_tensors
+
+        cfg = tmp_path / "bn.cfg"
+        cfg.write_text(Path(TINY).read_text().replace("variant = FC_t", "variant = Conv2.5D")
+                       .replace("regularization = SL", "regularization = BN"))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = out / "Conv2p5D_BN" / "checkpoint.scnn"
+        tensors = load_tensors(ckpt)
+        name = "head_u.04.batchnorm.running_var"
+        tensors[name] = tensors[name].copy()
+        tensors[name][0] = -1.0
+        save_tensors(ckpt, tensors)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {ckpt}: tensor '{name}' has a negative variance"]
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("command, report", [("evaluate", "results.csv"),

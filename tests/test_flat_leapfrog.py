@@ -65,7 +65,7 @@ def _oracle_leapfrog(u, grid, out, origin=(0, 0), ring=None, source=None):
         out[:, n + 1] = cur[:, ox : ox + wx, oy : oy + wy]
 
 
-def _oracle_zoom(params, grid):
+def _oracle_source(params, grid):
     amplitude = 1.0 / (grid.dx * grid.dy)
     rows, nodes, f = [], [], []
     for b, p in enumerate(params):
@@ -74,13 +74,16 @@ def _oracle_zoom(params, grid):
             rows.append(b)
             nodes.append((si, sj))
             f.append([np.sin(p.omega * n * grid.dt) * amplitude for n in range(grid.nt - 1)])
-    source = None
-    if rows:
-        i, j = np.array(nodes).T
-        source = (np.array(rows), i, j, np.array(f))
+    if not rows:
+        return None
+    i, j = np.array(nodes).T
+    return np.array(rows), i, j, np.array(f)
+
+
+def _oracle_zoom(params, grid):
     out = np.empty((len(params), grid.nt, grid.zoom_nx, grid.zoom_ny))
     _oracle_leapfrog(np.zeros((len(params), grid.nx, grid.ny)), grid, out,
-                     (grid.zoom_ix, grid.zoom_iy), source=source)
+                     (grid.zoom_ix, grid.zoom_iy), source=_oracle_source(params, grid))
     return out
 
 
@@ -220,3 +223,49 @@ def test_blocks_of_sorted_source_rows_equal_the_interior_stepper(monkeypatch, pe
     want = _oracle_zoom(params, grid)
     assert np.any(want != 0.0)
     assert solve_zoom(params, grid).tobytes() == want.tobytes()
+
+
+# The stepper derives the rows step 0 can light from the sources, the ring rows and
+# step 0's nonzero rows, each of the last two widened by one row.
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cone_cases(), data=st.data())
+def test_solve_wave_from_a_compact_field_equals_the_interior_stepper(case, data):
+    grid, params, seed = case
+    # nonzero in a few rows only, and maybe a row of -0.0, which stepping turns into +0.0
+    lo = data.draw(st.integers(0, grid.nx - 1))
+    hi = data.draw(st.integers(lo + 1, min(lo + 3, grid.nx)))
+    u0 = np.zeros((grid.nx, grid.ny))
+    u0[lo:hi] = np.random.default_rng(seed).standard_normal((hi - lo, grid.ny))
+    negative = data.draw(st.none() | st.integers(0, grid.nx - 1))
+    if negative is not None and not lo <= negative < hi:
+        u0[negative] = -0.0
+    u = np.zeros((1, grid.nx, grid.ny))
+    u[_INNER] = u0[1:-1, 1:-1]
+    want = np.empty((1, grid.nt, grid.nx, grid.ny))
+    _oracle_leapfrog(u, grid, want, source=_oracle_source(params[:1], grid))
+    assert solver.solve_wave(params[0], grid, u0).tobytes() == want[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cone_cases())
+def test_resolve_from_traces_at_rest_at_step_0_equals_the_interior_stepper(case):
+    grid, params, seed = case
+    params = [_at_node(grid, 0, 0, p.omega) for p in params]
+    traces = np.random.default_rng(seed).standard_normal((len(params), grid.nt, grid.n_boundary))
+    traces[:, 0] = 0.0  # the ring rows light step 0 even so
+    got = submodel_solve_batch(traces, params, grid)
+    assert got.tobytes() == _oracle_resolve(traces, grid).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_cone_cases())
+def test_a_block_at_rest_without_an_interior_source_records_zeros(case):
+    grid, params, _ = case
+    # every source on a wall node, where the full solve drops it
+    walls = [(0, 0), (grid.nx - 1, 1), (1, grid.ny - 1), (grid.nx - 1, grid.ny - 1)]
+    params = [_at_node(grid, *walls[k % 4], p.omega) for k, p in enumerate(params)]
+    got = solve_zoom(params, grid)
+    assert not got.any() and not np.signbit(got).any()
+    assert got.tobytes() == _oracle_zoom(params, grid).tobytes()

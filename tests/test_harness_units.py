@@ -254,6 +254,42 @@ variant = Conv2.5D
         with pytest.raises(ValueError, match=rf"\[training\] {key} must be"):
             ExperimentConfig.from_text(f"[training]\ndecay = true\n{line}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[training]\nlr0 = inf\n", r"\[training\] lr0 must be finite and > 0, got inf"),
+        ("[training]\nlr_final = inf\n", r"\[training\] lr_final must be finite and > 0, got inf"),
+        ("[training]\nlambda_euler = inf\n",
+         r"\[training\] lambda_euler must be finite and >= 0, got inf"),
+        ("[training]\nlambda_euler = nan\n",
+         r"\[training\] lambda_euler must be finite and >= 0, got nan"),
+        ("[sampling]\nomega_min = -inf\n", r"\[sampling\] omega_min must be finite, got -inf"),
+        ("[sampling]\nomega_max = inf\n", r"\[sampling\] omega_max must be finite, got inf"),
+        ("[sampling]\nomega_max = nan\n", r"\[sampling\] omega_max must be finite, got nan"),
+        ("[sampling]\nomega_min = -1e308\nomega_max = 1e308\n",
+         r"\[sampling\] omega_max - omega_min must be finite, got 1e\+308 - -1e\+308"),
+        ("[sampling]\nomega_min = 2.0\nomega_max = 2.0\n",
+         r"\[sampling\] omega_max must be > omega_min = 2.0, got 2.0"),
+    ], ids=["lr0", "lr_final", "lambda_euler_inf", "lambda_euler_nan", "omega_min",
+            "omega_max_inf", "omega_max_nan", "omega_span", "omega_order"])
+    def test_non_finite_rate_or_frequency_bound_rejected(self, text, message):
+        # inf used to pass "> 0" and fail later: a NaN loss, or numpy's range error
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("text, label", [
+        ("[sweep]\nvariants = FC_t, FC_t\nregularizations = Basic\n", "FC_t[Basic]"),
+        ("[sweep]\nvariants = Conv2D, FC_t\nregularizations = BN&SL, Basic, SL&BN\n",
+         "Conv2D[BN&SL]"),
+        ("[sweep]\nvariants = Conv3D\nregularizations = basic, Basic\n", "Conv3D[Basic]"),
+    ], ids=["variant", "flag_order", "basic_case"])
+    def test_sweep_cell_named_twice_rejected(self, text, label):
+        with pytest.raises(ValueError, match=rf"^\[sweep\] names cell {re.escape(label)} more than once$"):
+            ExperimentConfig.from_text(text)
+
+    def test_empty_sweep_loads(self):
+        # only the sweep command needs a cell; generate, train and evaluate do not
+        cfg = ExperimentConfig.from_text("[sweep]\nvariants =\n")
+        assert cfg.sweep_cells() == []
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^\[training\] seed must be >= 0, got -2$"):
             ExperimentConfig.from_text("[training]\nseed = -2\n")

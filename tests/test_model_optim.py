@@ -453,6 +453,23 @@ class TestCheckedLoad:
             assert _state_bytes(target) == before, name
 
 
+    def test_a_negative_running_variance_is_refused_and_changes_nothing(self, tmp_path, source):
+        # it would reach the eval forward and the fold as the square root of a negative
+        target = _tiny_bn_model(seed=2)
+        before = _state_bytes(target)
+        path = tmp_path / "bad.scnn"
+        names = [name for name in source if name.endswith(".batchnorm.running_var")]
+        assert names
+        for name in names:
+            bad = source[name].copy()
+            bad.flat[0] = -1.0
+            save_tensors(path, {**source, name: bad})
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: tensor "
+                                                 rf"'{re.escape(name)}' has a negative variance$"):
+                load_model(path, target)
+            assert _state_bytes(target) == before, name
+
+
 @pytest.mark.parametrize("writer", [
     lambda path: save_dataset(path, generate_dataset(make_grid(nx=12, ny=12, zoom_nx=4,
                                                                zoom_ny=4, nt=6), 2, seed=0)),
